@@ -104,70 +104,47 @@ def init(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderState:
                         center=np.zeros(cfg.K), step=0)
 
 
-def _image_to_patches(cfg: EncoderConfig, image: np.ndarray) -> np.ndarray:
-    if image.shape != (cfg.H0, cfg.H0):
-        raise ShapeError(f"encode: expected {cfg.H0}x{cfg.H0} image, got {image.shape}")
+def _image_to_patches(cfg: EncoderConfig, images: np.ndarray) -> np.ndarray:
+    """(H0, H0) -> (N, P*P) patch rows, or (B, H0, H0) -> (B, N, P*P)."""
+    if images.ndim not in (2, 3) or images.shape[-2:] != (cfg.H0, cfg.H0):
+        raise ShapeError(f"encode: expected {cfg.H0}x{cfg.H0} images, got {images.shape}")
     p, t = cfg.patch, cfg.T
-    return image.reshape(t, p, t, p).transpose(0, 2, 1, 3).reshape(t * t, p * p)
+    lead = images.shape[:-2]
+    patches = images.reshape(*lead, t, p, t, p).swapaxes(-3, -2)
+    return patches.reshape(*lead, t * t, p * p)
 
 
 def _affine(x: Tensor, params, prefix: str) -> Tensor:
     return tz.add_rowvec(tz.mul_rowvec(x, params[f"{prefix}.g"]), params[f"{prefix}.b"])
 
 
-def encode(cfg: EncoderConfig, params: dict[str, Tensor], image: np.ndarray) -> Tensor:
-    """Embed an H0 x H0 image into an N x K token matrix (row-major T x T layout)."""
-    x = tz.matmul(Tensor(_image_to_patches(cfg, image)), params["embed.w"])
-    x = tz.add_rowvec(x, params["embed.b"])
+def encode(cfg: EncoderConfig, params: dict[str, Tensor], images: np.ndarray) -> Tensor:
+    """Embed H0 x H0 images into token matrices (row-major T x T layout).
+
+    One (H0, H0) image gives an N x K tensor; a (B, H0, H0) stack gives
+    (B, N, K), with every per-item product at the size of a single image.
+    """
+    x = tz.linear(Tensor(_image_to_patches(cfg, images)), params["embed.w"], params["embed.b"])
     for i in range(cfg.depth):
         b = f"block{i}"
         y = _affine(tz.row_norm(x), params, f"{b}.norm1")
         y = tz.matmul(params[f"{b}.mix.w"], y)
         x = tz.add(x, y)
         y = _affine(tz.row_norm(x), params, f"{b}.norm2")
-        y = tz.add_rowvec(tz.matmul(y, params[f"{b}.mlp.w1"]), params[f"{b}.mlp.b1"])
-        y = tz.silu(y)
-        y = tz.add_rowvec(tz.matmul(y, params[f"{b}.mlp.w2"]), params[f"{b}.mlp.b2"])
+        y = tz.silu(tz.linear(y, params[f"{b}.mlp.w1"], params[f"{b}.mlp.b1"]))
+        y = tz.linear(y, params[f"{b}.mlp.w2"], params[f"{b}.mlp.b2"])
         x = tz.add(x, y)
     return x
 
 
-def _silu_np(x: np.ndarray) -> np.ndarray:
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return x * s
-
-
-def _row_norm_np(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
-
-
 def encode_batch(cfg: EncoderConfig, params: dict[str, np.ndarray],
                  images: np.ndarray) -> np.ndarray:
-    """Gradient-free batched forward pass, numerically identical to `encode`.
+    """Gradient-free `encode` on constant weights: (B, H0, H0) -> (B, N, K).
 
-    images: (B, H0, H0) -> token maps (B, N, K).
+    A single (H0, H0) image is treated as a batch of one.
     """
-    if images.ndim == 2:
-        images = images[None]
-    b = images.shape[0]
-    p, t = cfg.patch, cfg.T
-    if images.shape[1:] != (cfg.H0, cfg.H0):
-        raise ShapeError(f"encode_batch: expected {cfg.H0}x{cfg.H0} images, got {images.shape}")
-    x = images.reshape(b, t, p, t, p).transpose(0, 1, 3, 2, 4).reshape(b, t * t, p * p)
-    x = x @ params["embed.w"] + params["embed.b"]
-    for i in range(cfg.depth):
-        bl = f"block{i}"
-        y = _row_norm_np(x) * params[f"{bl}.norm1.g"] + params[f"{bl}.norm1.b"]
-        y = params[f"{bl}.mix.w"] @ y
-        x = x + y
-        y = _row_norm_np(x) * params[f"{bl}.norm2.g"] + params[f"{bl}.norm2.b"]
-        y = _silu_np(y @ params[f"{bl}.mlp.w1"] + params[f"{bl}.mlp.b1"])
-        y = y @ params[f"{bl}.mlp.w2"] + params[f"{bl}.mlp.b2"]
-        x = x + y
-    return x
+    return encode(cfg, {n: Tensor(a) for n, a in params.items()},
+                  images if images.ndim == 3 else images[None]).data
 
 
 @lru_cache(maxsize=None)
@@ -197,46 +174,39 @@ def compose_head(cfg: EncoderConfig, params: dict[str, Tensor], tokens: Tensor) 
     """Merge each 2x2 token block (concatenated to 4K dims) through a 2-layer MLP.
 
     Input N x K with T x T layout; output (N/4) x K with (T/2) x (T/2) layout.
+    A leading batch axis passes through.
     """
-    n, k = tokens.data.shape
+    *lead, n, k = tokens.data.shape
     t = int(np.sqrt(n))
     if t * t != n or t % 2 != 0:
         raise ShapeError(f"compose_head: token count {n} is not an even square")
-    grouped = tz.reshape(tz.take_rows(tokens, _compose_gather(t)), (n // 4, 4 * k))
-    y = tz.add_rowvec(tz.matmul(grouped, params["comp.w1"]), params["comp.b1"])
-    y = tz.silu(y)
-    return tz.add_rowvec(tz.matmul(y, params["comp.w2"]), params["comp.b2"])
+    grouped = tz.reshape(tz.take_rows(tokens, _compose_gather(t)), (*lead, n // 4, 4 * k))
+    y = tz.silu(tz.linear(grouped, params["comp.w1"], params["comp.b1"]))
+    return tz.linear(y, params["comp.w2"], params["comp.b2"])
 
 
 def decompose_head(cfg: EncoderConfig, params: dict[str, Tensor], tokens: Tensor) -> Tensor:
     """Expand each token to 4K dims through a 2-layer MLP, then chunk into 2x2 sub-tokens.
 
     Input N x K with T x T layout; output 4N x K with (2T) x (2T) layout.
+    A leading batch axis passes through.
     """
-    n, k = tokens.data.shape
+    *lead, n, k = tokens.data.shape
     t = int(np.sqrt(n))
     if t * t != n:
         raise ShapeError(f"decompose_head: token count {n} is not a square")
-    y = tz.add_rowvec(tz.matmul(tokens, params["decomp.w1"]), params["decomp.b1"])
-    y = tz.silu(y)
-    y = tz.add_rowvec(tz.matmul(y, params["decomp.w2"]), params["decomp.b2"])
-    chunked = tz.reshape(y, (4 * n, k))
+    y = tz.silu(tz.linear(tokens, params["decomp.w1"], params["decomp.b1"]))
+    y = tz.linear(y, params["decomp.w2"], params["decomp.b2"])
+    chunked = tz.reshape(y, (*lead, 4 * n, k))
     return tz.take_rows(chunked, _decompose_scatter(t))
 
 
 def global_head(cfg: EncoderConfig, params: dict[str, Tensor], pooled: Tensor) -> Tensor:
     """Projection for the pooled global branch, keeping it off the token dims
-    the positional matching losses compete for.  (K,) -> (K,)."""
-    x = tz.reshape(pooled, (1, pooled.data.shape[0]))
-    y = tz.silu(tz.add_rowvec(tz.matmul(x, params["ghead.w1"]), params["ghead.b1"]))
-    y = tz.add_rowvec(tz.matmul(y, params["ghead.w2"]), params["ghead.b2"])
-    return tz.reshape(y, (cfg.K,))
-
-
-def global_head_np(params: dict[str, np.ndarray], pooled: np.ndarray) -> np.ndarray:
-    """Gradient-free mirror of `global_head` for the teacher side."""
-    y = _silu_np(pooled @ params["ghead.w1"] + params["ghead.b1"])
-    return y @ params["ghead.w2"] + params["ghead.b2"]
+    the positional matching losses compete for.  (R, K) -> (R, K), one pooled
+    embedding per row."""
+    y = tz.silu(tz.linear(pooled, params["ghead.w1"], params["ghead.b1"]))
+    return tz.linear(y, params["ghead.w2"], params["ghead.b2"])
 
 
 def teacher_params(state: EncoderState) -> dict[str, Tensor]:

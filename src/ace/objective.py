@@ -11,12 +11,13 @@ weights; kernel mass falling outside the overlap stays 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import tensor as tz
 from .cropgrid import CropPair, GridSpec
-from .errors import DomainError, EmptyOverlapError, ParameterError, ShapeError
+from .errors import DomainError, ParameterError, ShapeError
 from .tensor import Tensor
 
 DEFAULT_LAMBDA1 = 0.1
@@ -29,7 +30,10 @@ CENTER_RATE = 0.9
 
 @dataclass(frozen=True)
 class MatchTarget:
-    """Gaussian-smoothed correspondence target plus its kernel parameters."""
+    """Gaussian-smoothed correspondence target plus its kernel parameters.
+
+    ``matrix`` is (R, C) for one crop pair or a (B, R, C) stack for a batch.
+    """
 
     matrix: np.ndarray
     kernel_size: int
@@ -66,15 +70,23 @@ def build_target(pair: CropPair, spec: GridSpec, role: str,
 
     composition   -> shape (N, N/4): C2 teacher tokens x composed C1 cells.
     decomposition -> shape (N, 4N):  C1 teacher tokens x decomposed C2 sub-cells.
+
+    The matrix depends on the pair only through the crop offset, so it is
+    built once per offset and shared: it is read-only.
     """
     if role not in ("composition", "decomposition"):
         raise ParameterError(f"role must be composition or decomposition, got {role!r}")
-    t = spec.T
+    ox = (pair.anchor1[0] - pair.anchor2[0]) // 2
+    oy = (pair.anchor1[1] - pair.anchor2[1]) // 2
+    matrix = _target_matrix(spec.T, role, ox, oy, k, sigma)
+    return MatchTarget(matrix=matrix, kernel_size=k, sigma=sigma, role=role)
+
+
+@lru_cache(maxsize=1024)
+def _target_matrix(t: int, role: str, ox: int, oy: int, k: int, sigma: float) -> np.ndarray:
     n = t * t
     half_k = (k - 1) // 2
     kern = gaussian_kernel(k, sigma)
-    ox = (pair.anchor1[0] - pair.anchor2[0]) // 2
-    oy = (pair.anchor1[1] - pair.anchor2[1]) // 2
     h = t // 2
 
     if role == "composition":
@@ -103,12 +115,16 @@ def build_target(pair: CropPair, spec: GridSpec, role: str,
                         r, c = tr0 + dr, tc0 + dc
                         if 0 <= r < t and 0 <= c < t:
                             target[r * t + c, col] = kern[dr + half_k, dc + half_k]
-    return MatchTarget(matrix=target, kernel_size=k, sigma=sigma, role=role)
+    target.flags.writeable = False
+    return target
 
 
 def matching_logits(y_teacher: Tensor, y_student_head: Tensor) -> Tensor:
-    """Pre-sigmoid inner-product matrix: rows index teacher tokens."""
-    if y_teacher.data.shape[1] != y_student_head.data.shape[1]:
+    """Pre-sigmoid inner-product matrix: rows index teacher tokens.
+
+    Batched (B, R, K) and (B, C, K) inputs give one (R, C) matrix per item.
+    """
+    if y_teacher.data.shape[-1] != y_student_head.data.shape[-1]:
         raise ShapeError(
             f"matching: embedding dims differ, {y_teacher.data.shape} vs {y_student_head.data.shape}")
     return tz.matmul(y_teacher, tz.transpose(y_student_head))
@@ -151,13 +167,16 @@ def matching_loss_logits(z: Tensor, target: MatchTarget, alpha: float,
 
 
 def teacher_distribution(t_pooled: np.ndarray, center: np.ndarray, tau_t: float) -> np.ndarray:
-    """Detached teacher softmax with optional centering shift applied first."""
+    """Detached teacher softmax with optional centering shift applied first.
+
+    A (B, K) input gives one distribution per row.
+    """
     if tau_t <= 0:
         raise ParameterError(f"teacher temperature must be positive, got {tau_t}")
     z = (t_pooled - center) / tau_t
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def global_loss(y_s: Tensor, y_t: np.ndarray, o_s: np.ndarray, o_t: np.ndarray,
@@ -165,22 +184,23 @@ def global_loss(y_s: Tensor, y_t: np.ndarray, o_s: np.ndarray, o_t: np.ndarray,
                 student_head=None, teacher_head=None):
     """Cross-entropy between pooled-overlap teacher and student distributions.
 
-    Optional head callables project the pooled embeddings before the
-    temperature softmaxes.  Returns (loss tensor, pooled teacher output);
-    the caller owns the center vector and updates it from the latter.
+    ``y_s`` is an N x K student token tensor and ``y_t`` the teacher tokens,
+    each pooled over its overlap mask; with a leading batch axis on both,
+    item i of the student is scored against item i of the teacher and the
+    loss is the batch mean.  Optional head callables take and return tensors
+    of pooled rows and project them before the temperature softmaxes.
+    Returns (loss tensor, pooled teacher output); the caller owns the center
+    vector and updates it from the latter.
     """
-    s_pooled = tz.masked_mean_pool(y_s, o_s.reshape(-1))
+    s_pooled = tz.masked_mean_pool(y_s, o_s)
     if student_head is not None:
         s_pooled = student_head(s_pooled)
-    mask = o_t.reshape(-1).astype(bool)
-    if not mask.any():
-        raise EmptyOverlapError("global_loss: teacher overlap mask is empty")
-    t_pooled = y_t[mask].mean(axis=0)
+    t_pooled = tz.masked_mean_pool(Tensor(y_t), o_t)
     if teacher_head is not None:
         t_pooled = teacher_head(t_pooled)
-    p_t = teacher_distribution(t_pooled, center, tau_t)
+    p_t = teacher_distribution(t_pooled.data, center, tau_t)
     loss = tz.cross_entropy_with_logits(p_t, s_pooled, tau_s)
-    return loss, t_pooled
+    return loss, t_pooled.data
 
 
 def update_center(center: np.ndarray, t_pooled_mean: np.ndarray,

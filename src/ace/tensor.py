@@ -192,11 +192,17 @@ def log(a: Tensor) -> Tensor:
     return _record(np.log(a.data), (a,), bw)
 
 
+def _sigmoid_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-|x|) and sigmoid(x), free of overflow for large |x|; the
+    exponential is taken once."""
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0, e)
+    s /= 1.0 + e
+    return e, s
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # piecewise form avoids overflow in exp for large |x|
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    _, out = _sigmoid_parts(a.data)
 
     def bw(g):
         _accum(a, g * out * (1.0 - out))
@@ -206,30 +212,79 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def silu(a: Tensor) -> Tensor:
     """Smooth gating activation x * sigmoid(x)."""
-    return mul(a, sigmoid(a))
+    _, s = _sigmoid_parts(a.data)
+
+    def bw(g):
+        _accum(a, g * (s * (1.0 + a.data * (1.0 - s))))
+
+    return _record(a.data * s, (a,), bw)
+
+
+def _check_batched(a: Tensor, op: str):
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"{op}: expected a 2-d matrix or a 3-d batch of matrices, "
+                         f"got {a.data.shape}")
+
+
+def _sum_batch(g: np.ndarray, ndim: int) -> np.ndarray:
+    """Fold the batch axis out of the gradient of an operand shared by the batch."""
+    return g.sum(axis=0) if g.ndim > ndim else g
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-d operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    """Matrix product; either operand may carry a leading batch axis.
+
+    A 2-d operand is shared by every item of the batch.  Its gradient is a
+    stacked product summed over the batch, so each GEMM keeps the size of one
+    item: a folded (B*N) x P product would cross the size at which OpenBLAS
+    starts threads, which costs CPU time without saving wall time.
+    """
+    _check_batched(a, "matmul")
+    _check_batched(b, "matmul")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner extents differ for {a.data.shape} and {b.data.shape}")
+    if a.data.ndim == b.data.ndim == 3 and a.data.shape[0] != b.data.shape[0]:
+        raise ShapeError(f"matmul: batch sizes differ for {a.data.shape} and {b.data.shape}")
 
     def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, _sum_batch(g @ np.swapaxes(b.data, -1, -2), a.data.ndim))
+        if b.requires_grad:
+            _accum(b, _sum_batch(np.swapaxes(a.data, -1, -2) @ g, b.data.ndim))
 
     return _record(a.data @ b.data, (a, b), bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-d operand, got {a.data.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for an N x P matrix or a (B, N, P) batch, a P x K weight and
+    a length-K bias; fused so the layer is one tape node."""
+    _check_batched(x, "linear")
+    if w.data.ndim != 2 or b.data.shape != (w.data.shape[1],) \
+            or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear: shapes {x.data.shape}, {w.data.shape} and "
+                         f"{b.data.shape} incompatible")
+    out = x.data @ w.data
+    out += b.data
 
     def bw(g):
-        _accum(a, g.T)
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, _sum_batch(np.swapaxes(x.data, -1, -2) @ g, 2))
+        if b.requires_grad:
+            _accum(b, _row_sum(g))
 
-    return _record(a.data.T.copy(), (a,), bw)
+    return _record(out, (x, w, b), bw)
+
+
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes of a matrix or of every matrix in a batch."""
+    _check_batched(a, "transpose")
+
+    def bw(g):
+        _accum(a, np.swapaxes(g, -1, -2))
+
+    return _record(np.swapaxes(a.data, -1, -2).copy(), (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -242,57 +297,82 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(a.data.reshape(shape).copy(), (a,), bw)
 
 
-def take_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows of a 2-d tensor; backward scatters with accumulation."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_rows: expected 2-d operand, got {a.data.shape}")
-    idx = np.asarray(idx, dtype=np.intp)
+def slice_batch(a: Tensor, start: int, stop: int) -> Tensor:
+    """Items start..stop-1 along the leading (batch) axis."""
+    if not 0 <= start < stop <= a.data.shape[0]:
+        raise ShapeError(f"slice_batch: [{start}:{stop}] outside a batch of {a.data.shape[0]}")
 
     def bw(g):
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
+            ga[start:stop] = g
             _accum(a, ga)
 
-    return _record(a.data[idx].copy(), (a,), bw)
+    return _record(a.data[start:stop], (a,), bw)
+
+
+def take_rows(a: Tensor, idx) -> Tensor:
+    """Gather rows (axis -2) of a matrix or of every matrix in a batch;
+    backward scatters with accumulation."""
+    _check_batched(a, "take_rows")
+    idx = np.asarray(idx, dtype=np.intp)
+    sel = (slice(None),) * (a.data.ndim - 2) + (idx,)
+
+    def bw(g):
+        if a.requires_grad:
+            ga = np.zeros_like(a.data)
+            np.add.at(ga, sel, g)
+            _accum(a, ga)
+
+    return _record(a.data[sel], (a,), bw)
+
+
+def _check_rowvec(a: Tensor, v: Tensor, op: str):
+    if a.data.ndim not in (2, 3) or v.data.ndim != 1 or a.data.shape[-1] != v.data.shape[0]:
+        raise ShapeError(f"{op}: shapes {a.data.shape} and {v.data.shape} incompatible")
+
+
+def _row_sum(g: np.ndarray) -> np.ndarray:
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add a length-K vector to every row of an N-by-K matrix."""
-    if a.data.ndim != 2 or v.data.ndim != 1 or a.data.shape[1] != v.data.shape[0]:
-        raise ShapeError(f"add_rowvec: shapes {a.data.shape} and {v.data.shape} incompatible")
+    """Add a length-K vector to every row of an N-by-K matrix or a batch of them."""
+    _check_rowvec(a, v, "add_rowvec")
 
     def bw(g):
         _accum(a, g)
-        _accum(v, g.sum(axis=0))
+        if v.requires_grad:
+            _accum(v, _row_sum(g))
 
-    return _record(a.data + v.data[None, :], (a, v), bw)
+    return _record(a.data + v.data, (a, v), bw)
 
 
 def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Scale every row of an N-by-K matrix elementwise by a length-K vector."""
-    if a.data.ndim != 2 or v.data.ndim != 1 or a.data.shape[1] != v.data.shape[0]:
-        raise ShapeError(f"mul_rowvec: shapes {a.data.shape} and {v.data.shape} incompatible")
+    """Scale every row of an N-by-K matrix (or a batch of them) elementwise by a
+    length-K vector."""
+    _check_rowvec(a, v, "mul_rowvec")
 
     def bw(g):
-        _accum(a, g * v.data[None, :])
-        _accum(v, (g * a.data).sum(axis=0))
+        if a.requires_grad:
+            _accum(a, g * v.data)
+        if v.requires_grad:
+            _accum(v, _row_sum(g * a.data))
 
-    return _record(a.data * v.data[None, :], (a, v), bw)
+    return _record(a.data * v.data, (a, v), bw)
 
 
 def row_norm(a: Tensor, eps: float = 1e-6) -> Tensor:
-    """Standardize each row of an N-by-K matrix to zero mean, unit variance."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"row_norm: expected 2-d operand, got {a.data.shape}")
-    mu = a.data.mean(axis=1, keepdims=True)
-    var = a.data.var(axis=1, keepdims=True)
+    """Standardize each row (last axis) to zero mean, unit variance."""
+    _check_batched(a, "row_norm")
+    mu = a.data.mean(axis=-1, keepdims=True)
+    var = a.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = (a.data - mu) * inv
 
     def bw(g):
-        gm = g.mean(axis=1, keepdims=True)
-        gy = (g * y).mean(axis=1, keepdims=True)
+        gm = g.mean(axis=-1, keepdims=True)
+        gy = (g * y).mean(axis=-1, keepdims=True)
         _accum(a, inv * (g - gm - y * gy))
 
     return _record(y, (a,), bw)
@@ -332,23 +412,29 @@ def softmax_with_temperature(x: Tensor, tau: float) -> Tensor:
 
 
 def masked_mean_pool(tokens: Tensor, mask) -> Tensor:
-    """Mean over the rows of an N-by-K matrix selected by a binary mask."""
+    """Mean over the rows selected by a binary mask.
+
+    An N-by-K matrix with a length-N mask gives a length-K vector; a
+    (B, N, K) batch with a (B, N) mask pools each item on its own row set
+    and gives (B, K).
+    """
+    _check_batched(tokens, "masked_mean_pool")
+    x = tokens.data
     m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-    m = m.reshape(-1).astype(bool)
-    if tokens.data.ndim != 2 or m.shape[0] != tokens.data.shape[0]:
-        raise ShapeError(
-            f"masked_mean_pool: tokens {tokens.data.shape} vs mask length {m.shape[0]}")
-    count = int(m.sum())
-    if count == 0:
-        raise EmptyOverlapError("masked_mean_pool: mask selects no rows")
+    if m.size != int(np.prod(x.shape[:-1])):
+        raise ShapeError(f"masked_mean_pool: tokens {x.shape} vs mask of shape {m.shape}")
+    m = m.reshape(x.shape[:-1]).astype(bool)
+    count = m.sum(axis=-1, keepdims=True)
+    if not count.all():
+        item = "" if x.ndim == 2 else f" for item {int(np.argmin(count[:, 0]))}"
+        raise EmptyOverlapError(f"masked_mean_pool: mask selects no rows{item}")
+    keep = m[..., None]
 
     def bw(g):
         if tokens.requires_grad:
-            gt = np.zeros_like(tokens.data)
-            gt[m] = g[None, :] / count
-            _accum(tokens, gt)
+            _accum(tokens, np.where(keep, (g / count)[..., None, :], 0.0))
 
-    return _record(tokens.data[m].mean(axis=0), (tokens,), bw)
+    return _record(np.where(keep, x, 0.0).sum(axis=-2) / count, (tokens,), bw)
 
 
 def cross_entropy(p: Tensor, q: Tensor) -> Tensor:
@@ -372,21 +458,25 @@ def cross_entropy(p: Tensor, q: Tensor) -> Tensor:
 
 
 def cross_entropy_with_logits(p: np.ndarray, z: Tensor, tau: float) -> Tensor:
-    """CE between a constant distribution p and softmax(z / tau), fused for stability."""
+    """CE between a constant distribution p and softmax(z / tau), fused for stability.
+
+    For a (B, K) batch of rows the result is the mean of the B per-row
+    cross entropies.
+    """
     if tau <= 0:
         raise ParameterError(f"temperature must be positive, got {tau}")
     p = np.asarray(p, dtype=z.data.dtype)
-    if p.shape != z.data.shape or z.data.ndim != 1:
+    if p.shape != z.data.shape or z.data.ndim not in (1, 2):
         raise ShapeError(f"cross_entropy_with_logits: shapes {p.shape} vs {z.data.shape}")
+    rows = 1 if z.data.ndim == 1 else z.data.shape[0]
     s = z.data / tau
-    s = s - s.max()
-    lse = np.log(np.exp(s).sum())
-    logq = s - lse
-    out = -(p * logq).sum()
+    s = s - s.max(axis=-1, keepdims=True)
+    logq = s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
+    out = -(p * logq).sum() / rows
     q = np.exp(logq)
 
     def bw(g):
-        _accum(z, float(g) * (q * p.sum() - p) / tau)
+        _accum(z, float(g) * (q * p.sum(axis=-1, keepdims=True) - p) / (tau * rows))
 
     return _record(np.asarray(out), (z,), bw)
 
@@ -398,30 +488,25 @@ def weighted_match_loss_logits(z: Tensor, target: np.ndarray, alpha: float,
     Two-sided form (default):
         L = mean over rows of sum_cols[ alpha*T*softplus(-z) + (1-alpha)*(1-T)*softplus(z) ]
     which equals -mean_rows sum_cols[ alpha*T*log(sigmoid z) + (1-alpha)*(1-T)*log(1-sigmoid z) ].
-    The positive-only variant keeps just the first term.
+    The positive-only variant keeps just the first term.  A (B, R, C) batch of
+    logit matrices with its stacked targets gives the mean of the B losses.
     """
     t = np.asarray(target, dtype=z.data.dtype)
     if t.shape != z.data.shape:
         raise ShapeError(f"weighted_match_loss_logits: shapes {t.shape} vs {z.data.shape}")
-    if z.data.ndim != 2:
-        raise ShapeError("weighted_match_loss_logits: expected a 2-d matrix")
+    _check_batched(z, "weighted_match_loss_logits")
     x = z.data
-    softplus_pos = np.logaddexp(0.0, x)     # softplus(z)  = -log(1 - sigmoid z)
-    softplus_neg = np.logaddexp(0.0, -x)    # softplus(-z) = -log(sigmoid z)
-    rows = x.shape[0]
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    if positive_only:
-        out = (alpha * t * softplus_neg).sum() / rows
+    rows = x.size // x.shape[-1]  # rows of every matrix in the batch
+    e, sig = _sigmoid_parts(x)
+    softplus = np.maximum(x, 0.0) + np.log1p(e)  # softplus(z) = -log(1 - sigmoid z)
+    # with softplus(-z) = softplus(z) - z, the weighted sum
+    # pos*softplus(-z) + neg*softplus(z) is w*softplus(z) - pos*z for w = pos + neg
+    pos = alpha * t
+    w = pos if positive_only else pos + (1.0 - alpha) * (1.0 - t)
+    out = (np.vdot(w, softplus) - np.vdot(pos, x)) / rows
 
-        def bw(g):
-            _accum(z, float(g) * (-alpha * t * (1.0 - sig)) / rows)
-    else:
-        out = (alpha * t * softplus_neg + (1.0 - alpha) * (1.0 - t) * softplus_pos).sum() / rows
-
-        def bw(g):
-            gz = -alpha * t * (1.0 - sig) + (1.0 - alpha) * (1.0 - t) * sig
-            _accum(z, float(g) * gz / rows)
+    def bw(g):
+        _accum(z, (w * sig - pos) * (float(g) / rows))
 
     return _record(np.asarray(out), (z,), bw)
 

@@ -1,6 +1,7 @@
-"""Pretraining loop: crop-pair batching, photometric augmentation, the two
-forward passes per pair, AdamW with warmup/cosine schedules, gradient
-clipping, EMA teacher updates, checkpointing and per-step metrics.
+"""Pretraining loop: crop-pair batching, photometric augmentation, one
+batched student and one batched teacher forward pass per step, AdamW with
+warmup/cosine schedules, gradient clipping, EMA teacher updates,
+checkpointing and per-step metrics.
 
 Single-threaded execution is bit deterministic: one RNG drives phantom
 order, crop sampling and augmentation, and its state travels with the
@@ -138,12 +139,21 @@ class AdamW:
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
-    """Global-norm clipping; returns the pre-clip norm."""
+    """Global-norm clipping; returns the pre-clip norm.
+
+    A non-finite norm raises instead: the update would write NaN into
+    every parameter.
+    """
     sq = 0.0
     for p in params.values():
         if p.grad is not None:
             sq += float((p.grad * p.grad).sum())
     norm = float(np.sqrt(sq))
+    if not np.isfinite(norm):
+        bad = next((name for name, p in params.items()
+                    if p.grad is not None and not np.isfinite(p.grad).all()), None)
+        where = f"first in parameter {bad!r}" if bad else "the sum of squares overflows"
+        raise AceError(f"non-finite gradient norm: {where}")
     if norm > max_norm and norm > 0:
         factor = max_norm / norm
         for p in params.values():
@@ -156,47 +166,63 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 # the training step
 
 
-def _pair_losses(state: model.EncoderState, image: np.ndarray, pair: cropgrid.CropPair,
-                 cfg: RunConfig, spec: cropgrid.GridSpec, rng: np.random.Generator):
-    """Forward passes and the three loss terms for one crop pair."""
-    enc = state.config
-    c1_img = augment(rng, cropgrid.extract_and_resize(image, pair.anchor1, spec.c1, spec),
-                     cfg.aug_brightness, cfg.aug_contrast, cfg.aug_noise, cfg.aug_blur)
-    c2_img = augment(rng, cropgrid.extract_and_resize(image, pair.anchor2, spec.c2, spec),
-                     cfg.aug_brightness, cfg.aug_contrast, cfg.aug_noise, cfg.aug_blur)
+def _target_stack(pairs: list[cropgrid.CropPair], spec: cropgrid.GridSpec, role: str,
+                  cfg: RunConfig) -> objective.MatchTarget:
+    mats = [objective.build_target(p, spec, role, k=cfg.kernel_size, sigma=cfg.kernel_sigma)
+            .matrix for p in pairs]
+    return objective.MatchTarget(matrix=np.stack(mats), kernel_size=cfg.kernel_size,
+                                 sigma=cfg.kernel_sigma, role=role)
 
-    s1 = model.encode(enc, state.student, c1_img)
-    s2 = model.encode(enc, state.student, c2_img)
-    t_arrays = state.teacher
-    t1 = model.encode_batch(enc, t_arrays, c1_img)[0]
-    t2 = model.encode_batch(enc, t_arrays, c2_img)[0]
+
+def _batch_losses(state: model.EncoderState, batch: list[tuple[np.ndarray, cropgrid.CropPair]],
+                  cfg: RunConfig, spec: cropgrid.GridSpec, rng: np.random.Generator):
+    """Forward pass and the three loss terms for a batch of B crop pairs.
+
+    Crops are cut and augmented pair by pair, C1 before C2, so the RNG
+    stream does not depend on the batch size.  The student and the teacher
+    then each encode all 2B crops in one call: items 0..B-1 are the C1
+    crops and items B..2B-1 the C2 crops.  Returns the global, composition
+    and decomposition terms, each a mean over the pairs, and the mean pooled
+    teacher output that drives centering.
+    """
+    enc = state.config
+    crops1, crops2 = [], []
+    for image, pair in batch:
+        for crops, anchor, side in ((crops1, pair.anchor1, spec.c1),
+                                    (crops2, pair.anchor2, spec.c2)):
+            crops.append(augment(rng, cropgrid.extract_and_resize(image, anchor, side, spec),
+                                 cfg.aug_brightness, cfg.aug_contrast, cfg.aug_noise,
+                                 cfg.aug_blur))
+    b = len(batch)
+    pairs = [pair for _, pair in batch]
+    images = np.stack(crops1 + crops2)
+    s = model.encode(enc, state.student, images)
+    t = model.encode_batch(enc, state.teacher, images)
 
     # composition: C1 -> student -> composer vs C2 -> teacher
-    comp_target = objective.build_target(pair, spec, "composition",
-                                         k=cfg.kernel_size, sigma=cfg.kernel_sigma)
-    z_comp = objective.matching_logits(Tensor(t2), model.compose_head(enc, state.student, s1))
-    loss_comp = objective.matching_loss_logits(z_comp, comp_target, cfg.alpha_comp,
-                                               positive_only=cfg.positive_only)
+    z_comp = objective.matching_logits(
+        Tensor(t[b:]), model.compose_head(enc, state.student, tz.slice_batch(s, 0, b)))
+    loss_comp = objective.matching_loss_logits(
+        z_comp, _target_stack(pairs, spec, "composition", cfg), cfg.alpha_comp,
+        positive_only=cfg.positive_only)
 
     # decomposition: C2 -> student -> decomposer vs C1 -> teacher
-    decomp_target = objective.build_target(pair, spec, "decomposition",
-                                           k=cfg.kernel_size, sigma=cfg.kernel_sigma)
-    z_dec = objective.matching_logits(Tensor(t1), model.decompose_head(enc, state.student, s2))
-    loss_decomp = objective.matching_loss_logits(z_dec, decomp_target, cfg.alpha_decomp,
-                                                 positive_only=cfg.positive_only)
+    z_dec = objective.matching_logits(
+        Tensor(t[:b]), model.decompose_head(enc, state.student, tz.slice_batch(s, b, 2 * b)))
+    loss_decomp = objective.matching_loss_logits(
+        z_dec, _target_stack(pairs, spec, "decomposition", cfg), cfg.alpha_decomp,
+        positive_only=cfg.positive_only)
 
-    # global: pooled overlap embeddings through the projection heads,
-    # both orderings averaged
-    s_head = lambda pooled: model.global_head(enc, state.student, pooled)
-    t_head = lambda pooled: model.global_head_np(t_arrays, pooled)
-    g1, tp2 = objective.global_loss(s1, t2, pair.O1, pair.O2,
-                                    cfg.tau_student, cfg.tau_teacher, state.center,
-                                    student_head=s_head, teacher_head=t_head)
-    g2, tp1 = objective.global_loss(s2, t1, pair.O2, pair.O1,
-                                    cfg.tau_student, cfg.tau_teacher, state.center,
-                                    student_head=s_head, teacher_head=t_head)
-    loss_global = tz.scale(tz.add(g1, g2), 0.5)
-    return loss_global, loss_comp, loss_decomp, 0.5 * (tp1 + tp2)
+    # global: each crop's pooled overlap embedding against the teacher's for
+    # the other crop of its pair (both orderings), through the projection heads
+    masks = np.stack([p.O1 for p in pairs] + [p.O2 for p in pairs])
+    teacher = model.teacher_params(state)
+    loss_global, t_pooled = objective.global_loss(
+        s, np.roll(t, b, axis=0), masks, np.roll(masks, b, axis=0),
+        cfg.tau_student, cfg.tau_teacher, state.center,
+        student_head=lambda pooled: model.global_head(enc, state.student, pooled),
+        teacher_head=lambda pooled: model.global_head(enc, teacher, pooled))
+    return loss_global, loss_comp, loss_decomp, t_pooled.mean(axis=0)
 
 
 def train_step(state: model.EncoderState, opt: AdamW,
@@ -205,23 +231,10 @@ def train_step(state: model.EncoderState, opt: AdamW,
                total_steps: int, warmup_steps: int, epoch: int) -> StepRecord:
     local_scale = 0.5 if cfg.local_halving else 1.0
     with Tape():
-        g_terms, c_terms, d_terms = [], [], []
-        pooled = []
-        for image, pair in batch:
-            lg, lc, ld, tp = _pair_losses(state, image, pair, cfg, spec, rng)
-            g_terms.append(lg)
-            c_terms.append(lc)
-            d_terms.append(ld)
-            pooled.append(tp)
-
-        def batch_mean(terms):
-            acc = terms[0]
-            for t in terms[1:]:
-                acc = tz.add(acc, t)
-            return tz.scale(acc, 1.0 / len(terms))
-
+        loss_global, loss_comp, loss_decomp, t_pooled = _batch_losses(
+            state, batch, cfg, spec, rng)
         total, breakdown = objective.total_loss(
-            batch_mean(g_terms), batch_mean(c_terms), batch_mean(d_terms),
+            loss_global, loss_comp, loss_decomp,
             lambda1=cfg.lambda_global, lambda2=cfg.lambda_comp * local_scale,
             lambda3=cfg.lambda_decomp * local_scale)
         if not np.isfinite(total.item()):
@@ -229,7 +242,10 @@ def train_step(state: model.EncoderState, opt: AdamW,
             raise AceError(f"non-finite loss at step {state.step}; pair anchors: {anchors}")
         tz.backward(total)
 
-    grad_norm = clip_gradients(state.student, cfg.grad_clip_norm)
+    try:
+        grad_norm = clip_gradients(state.student, cfg.grad_clip_norm)
+    except AceError as exc:
+        raise AceError(f"at step {state.step}: {exc}") from None
     lr = learning_rate(state.step + 1, total_steps, warmup_steps, cfg.base_lr)
     wd = weight_decay(state.step, total_steps, cfg.weight_decay_start, cfg.weight_decay_end)
     opt.step(lr, wd)
@@ -238,8 +254,7 @@ def train_step(state: model.EncoderState, opt: AdamW,
     lam = model.ema_lambda(min(state.step + 1, total_steps), total_steps)
     model.ema_update(state, lam)
     if cfg.centering:
-        state.center = objective.update_center(state.center,
-                                               np.mean(np.stack(pooled), axis=0))
+        state.center = objective.update_center(state.center, t_pooled)
     state.step += 1
     return StepRecord(step=state.step, epoch=epoch, ema_lambda=lam, lr=lr,
                       weight_decay=wd, loss_global=breakdown.global_term,
@@ -288,6 +303,20 @@ def _truncate_metrics(path: Path, upto_step: int):
     path.write_text("".join(l + "\n" for l in kept), encoding="utf-8")
 
 
+# keys that do not change the trajectory of a run
+_RESUME_FREE_KEYS = ("checkpoint_every", "threads")
+
+
+def _check_resumable(cfg: RunConfig, saved: RunConfig, path) -> None:
+    """Refuse a resume whose config would not reproduce the checkpointed run."""
+    diffs = [f"{k} (checkpoint {v!r}, now {getattr(cfg, k)!r})"
+             for k, v in asdict(saved).items()
+             if k not in _RESUME_FREE_KEYS and getattr(cfg, k) != v]
+    if diffs:
+        raise AceError(f"cannot resume from {path}: the config differs in "
+                       + ", ".join(diffs))
+
+
 def train_loop(cfg: RunConfig, manifest_path, out_dir, resume_from=None,
                progress=None) -> Path:
     """Run pretraining; writes checkpoints and metrics, returns final checkpoint path."""
@@ -308,7 +337,8 @@ def train_loop(cfg: RunConfig, manifest_path, out_dir, resume_from=None,
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
 
     if resume_from is not None:
-        state, opt, rng, _ = load_checkpoint(resume_from)
+        state, opt, rng, saved_cfg = load_checkpoint(resume_from)
+        _check_resumable(cfg, saved_cfg, resume_from)
     else:
         rng = np.random.default_rng(cfg.seed)
         state = model.init(cfg.encoder_config(), rng)

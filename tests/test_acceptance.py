@@ -42,7 +42,8 @@ PAPER = GridSpec(G=32, m=32, c1=14, c2=28, H0=448)
 
 
 def _primitive_cases(rng):
-    """(name, scalar-valued f, input array) for every differentiable primitive."""
+    """(name, scalar-valued f, input array) for every differentiable primitive,
+    with a batched (3-d) case for each primitive that takes a leading batch axis."""
     a = rng.normal(size=(4, 8))
     vec = rng.normal(size=6)
     pos = rng.random((4, 8)) + 0.5
@@ -54,6 +55,17 @@ def _primitive_cases(rng):
     mask = (rng.random(4) < 0.5).astype(float)
     mask[rng.integers(0, 4)] = 1.0  # never empty
     target = (rng.random((4, 8)) < 0.3) * rng.random((4, 8))
+    # batched operands: 3 items of the 2-d shapes above
+    a3 = rng.normal(size=(3, 4, 8))
+    b3 = rng.normal(size=(3, 4, 8))
+    w3 = rng.normal(size=(3, 8, 2))
+    c3 = rng.normal(size=(3, 4, 3))
+    sq = rng.normal(size=(4, 4))
+    mask3 = (rng.random((3, 4)) < 0.5).astype(float)
+    mask3[np.arange(3), rng.integers(0, 4, size=3)] = 1.0  # no item empty
+    simplex3 = np.exp(rng.normal(size=(3, 8)))
+    simplex3 /= simplex3.sum(axis=1, keepdims=True)
+    target3 = (rng.random((3, 4, 8)) < 0.3) * rng.random((3, 4, 8))
     mean = tz.tensor_mean
     return [
         ("add", lambda t: mean(tz.add(t, Tensor(b))), a),
@@ -85,6 +97,38 @@ def _primitive_cases(rng):
             t, target, 0.9), a),
         ("match_loss_positive_only", lambda t: tz.weighted_match_loss_logits(
             t, target, 0.9, positive_only=True), a),
+        # batched forms
+        ("matmul_batch_shared_right", lambda t: mean(tz.matmul(t, Tensor(w))), a3),
+        ("matmul_shared_left", lambda t: mean(tz.matmul(t, Tensor(a3))), sq),
+        ("matmul_shared_right", lambda t: mean(tz.mul(tz.matmul(Tensor(a3), t),
+                                                      Tensor(c3))), w),
+        ("matmul_batch_both", lambda t: mean(tz.matmul(t, Tensor(w3))), a3),
+        ("linear", lambda t: mean(tz.mul(tz.linear(t, Tensor(w), Tensor(v[:3])),
+                                         Tensor(c3[0]))), a),
+        ("linear_batch", lambda t: mean(tz.mul(tz.linear(t, Tensor(w), Tensor(v[:3])),
+                                               Tensor(c3))), a3),
+        ("linear_batch_weight", lambda t: mean(tz.mul(tz.linear(Tensor(a3), t, Tensor(v[:3])),
+                                                      Tensor(c3))), w),
+        ("linear_batch_bias", lambda t: mean(tz.mul(tz.linear(Tensor(a3), Tensor(w), t),
+                                                    Tensor(c3))), v[:3]),
+        ("transpose_batch", lambda t: mean(tz.mul(tz.transpose(t),
+                                                  Tensor(b3.swapaxes(1, 2)))), a3),
+        ("slice_batch", lambda t: mean(tz.mul(tz.slice_batch(t, 1, 3), Tensor(b3[1:]))), a3),
+        ("take_rows_batch", lambda t: mean(tz.mul(tz.take_rows(t, np.array([2, 0, 2])),
+                                                  Tensor(b3[:, :3]))), a3),
+        ("add_rowvec_batch", lambda t: mean(tz.mul(tz.add_rowvec(Tensor(a3), t),
+                                                   Tensor(b3))), v),
+        ("mul_rowvec_batch", lambda t: mean(tz.mul_rowvec(t, Tensor(v))), a3),
+        ("mul_rowvec_batch_v", lambda t: mean(tz.mul_rowvec(Tensor(a3), t)), v),
+        ("row_norm_batch", lambda t: mean(tz.mul(tz.row_norm(t), Tensor(b3))), a3),
+        ("masked_mean_pool_batch", lambda t: mean(tz.mul(tz.masked_mean_pool(t, mask3),
+                                                         Tensor(b3[:, 0]))), a3),
+        ("cross_entropy_with_logits_rows", lambda t: tz.cross_entropy_with_logits(
+            simplex3, t, 0.5), a3[:, 0]),
+        ("match_loss_batch_two_sided", lambda t: tz.weighted_match_loss_logits(
+            t, target3, 0.9), a3),
+        ("match_loss_batch_positive_only", lambda t: tz.weighted_match_loss_logits(
+            t, target3, 0.9, positive_only=True), a3),
     ]
 
 
@@ -97,9 +141,8 @@ def _toy_cfg():
         "aug_brightness=0", "aug_contrast=0", "aug_noise=0", "aug_blur=0"])
 
 
-def _toy_total_loss(state, image, pair, cfg, spec):
-    lg, lc, ld, _ = tr._pair_losses(state, image, pair, cfg, spec,
-                                    np.random.default_rng(0))
+def _toy_total_loss(state, batch, cfg, spec):
+    lg, lc, ld, _ = tr._batch_losses(state, batch, cfg, spec, np.random.default_rng(0))
     total, _ = obj.total_loss(lg, lc, ld, lambda1=cfg.lambda_global,
                               lambda2=cfg.lambda_comp, lambda3=cfg.lambda_decomp)
     return total
@@ -117,13 +160,13 @@ def test_gradients_every_primitive_and_full_loss_graph():
             err = grad_check(f, Tensor(x))
             assert err < 1e-4, f"seed {seed} op {name}: rel err {err:.3e}"
             worst = max(worst, err)
-        # the full combined loss graph, end to end through the encoder,
-        # probed at sampled parameter coordinates
+        # the full combined loss graph, end to end through the encoder, on a
+        # batch of two crop pairs, probed at sampled parameter coordinates
         state = model.init(cfg.encoder_config(), rng)
-        image = rng.random((spec.side, spec.side))
-        pair = sample_crop_pair(rng, spec)
+        batch = [(rng.random((spec.side, spec.side)), sample_crop_pair(rng, spec))
+                 for _ in range(2)]
         with Tape():
-            loss = _toy_total_loss(state, image, pair, cfg, spec)
+            loss = _toy_total_loss(state, batch, cfg, spec)
             backward(loss)
         names = sorted(state.student)
         for _ in range(3):
@@ -135,9 +178,9 @@ def test_gradients_every_primitive_and_full_loss_graph():
             eps = 1e-6
             keep = param.data[idx]
             param.data[idx] = keep + eps
-            fp = _toy_total_loss(state, image, pair, cfg, spec).item()
+            fp = _toy_total_loss(state, batch, cfg, spec).item()
             param.data[idx] = keep - eps
-            fm = _toy_total_loss(state, image, pair, cfg, spec).item()
+            fm = _toy_total_loss(state, batch, cfg, spec).item()
             param.data[idx] = keep
             numeric = (fp - fm) / (2 * eps)
             err = abs(analytic - numeric) / max(1.0, abs(analytic))

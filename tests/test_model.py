@@ -45,9 +45,11 @@ def test_encode_batch_matches_encode(tiny_state):
     imgs = rng.random((3, cfg.H0, cfg.H0))
     arrays = {n: t.data for n, t in tiny_state.student.items()}
     batched = encode_batch(cfg, arrays, imgs)
-    for i in range(3):
-        single = encode(cfg, tiny_state.student, imgs[i]).data
-        assert np.allclose(batched[i], single, atol=1e-12)
+    taped = encode(cfg, tiny_state.student, imgs).data
+    singles = np.stack([encode(cfg, tiny_state.student, img).data for img in imgs])
+    assert batched.shape == (3, cfg.n_tokens, cfg.K)
+    assert np.array_equal(batched, taped)
+    assert np.allclose(taped, singles, rtol=0, atol=1e-12)
 
 
 def test_depth_zero_is_linear_embed(tiny_cfg):

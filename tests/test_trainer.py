@@ -5,12 +5,16 @@ import json
 import numpy as np
 import pytest
 
+import ace.model as model
+import ace.objective as obj
+import ace.tensor as tz
 import ace.trainer as tr
 from ace.config import RunConfig, apply_overrides
-from ace.errors import ParameterError
+from ace.cropgrid import extract_and_resize, sample_crop_pair
+from ace.errors import AceError, ParameterError
 from ace.model import init
-from ace.synthgen import PhantomSpec, build_manifest, generate
-from ace.tensor import Tensor
+from ace.synthgen import PhantomSpec, build_manifest, generate, load_manifest
+from ace.tensor import Tape, Tensor
 from ace.trainer import (AdamW, augment, clip_gradients, learning_rate,
                          load_checkpoint, save_checkpoint, train_loop, weight_decay)
 
@@ -130,6 +134,15 @@ def test_clip_gradients():
     assert p.grad[0] == pytest.approx(0.1)  # untouched below the threshold
 
 
+def test_clip_gradients_rejects_non_finite():
+    a = Tensor(np.zeros(2), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    a.grad = np.array([1.0, 2.0])
+    b.grad = np.array([np.nan, 0.0])
+    with pytest.raises(AceError, match="'b'"):
+        clip_gradients({"a": a, "b": b}, 0.8)
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 
@@ -243,3 +256,110 @@ def test_mismatched_image_side_raises(tmp_path):
     with pytest.raises(Exception) as exc:
         train_loop(_tiny_run_cfg(), manifest, tmp_path / "run")
     assert "grid side" in str(exc.value)
+
+
+def _step_inputs(tmp_path, batch_size):
+    cfg = _tiny_run_cfg(aug_blur=0.5)
+    spec = cfg.grid_spec()
+    images = [p.image for p in load_manifest(_tiny_dataset(tmp_path))]
+    rng = np.random.default_rng(4)
+    batch = [(images[i], sample_crop_pair(rng, spec)) for i in range(batch_size)]
+    return cfg, spec, batch
+
+
+def _reference_pair_losses(state, image, pair, cfg, spec, rng):
+    """One pair's loss graph built from single-image calls: the per-pair form
+    of the training step, kept as the reference for the batched pass."""
+    enc = state.config
+    c1, c2 = (augment(rng, extract_and_resize(image, anchor, side, spec), cfg.aug_brightness,
+                      cfg.aug_contrast, cfg.aug_noise, cfg.aug_blur)
+              for anchor, side in ((pair.anchor1, spec.c1), (pair.anchor2, spec.c2)))
+    s1, s2 = (model.encode(enc, state.student, c) for c in (c1, c2))
+    t1, t2 = (model.encode_batch(enc, state.teacher, c)[0] for c in (c1, c2))
+
+    def match(teacher_tokens, head_out, role, alpha):
+        target = obj.build_target(pair, spec, role, k=cfg.kernel_size, sigma=cfg.kernel_sigma)
+        z = obj.matching_logits(Tensor(teacher_tokens), head_out)
+        return obj.matching_loss_logits(z, target, alpha)
+
+    comp = match(t2, model.compose_head(enc, state.student, s1), "composition", cfg.alpha_comp)
+    dec = match(t1, model.decompose_head(enc, state.student, s2), "decomposition",
+                cfg.alpha_decomp)
+
+    def head(params):
+        return lambda pooled: tz.reshape(
+            model.global_head(enc, params, tz.reshape(pooled, (1, enc.K))), (enc.K,))
+
+    teacher = model.teacher_params(state)
+    args = (cfg.tau_student, cfg.tau_teacher, state.center, head(state.student), head(teacher))
+    g1, tp2 = obj.global_loss(s1, t2, pair.O1, pair.O2, *args)
+    g2, tp1 = obj.global_loss(s2, t1, pair.O2, pair.O1, *args)
+    return tz.scale(tz.add(g1, g2), 0.5), comp, dec, 0.5 * (tp1 + tp2)
+
+
+def test_batch_losses_equal_mean_of_single_pairs(tmp_path):
+    """One batched pass over B=4 pairs equals the mean of four B=1 passes and
+    the mean of four per-pair reference graphs, in every loss term, the
+    centering statistic and every parameter gradient."""
+    cfg, spec, batch = _step_inputs(tmp_path, 4)
+    state = init(cfg.encoder_config(), np.random.default_rng(0))
+    state.center = np.random.default_rng(1).normal(size=cfg.embed_dim)
+
+    def run(losses):
+        with Tape():
+            terms = losses()
+            tz.backward(tz.add(tz.add(terms[0], terms[1]), terms[2]))
+        grads = {n: p.grad.copy() for n, p in state.student.items()}
+        for p in state.student.values():
+            p.grad = None
+        return [t.item() for t in terms[:3]] + [terms[3]], grads
+
+    def mean_of(runs):
+        values = [np.mean([r[0][i] for r in runs], axis=0) for i in range(4)]
+        return values, {n: np.mean([r[1][n] for r in runs], axis=0) for n in state.student}
+
+    # the same seed gives the same crops: pairs draw from one stream in order
+    batched = run(lambda: tr._batch_losses(state, batch, cfg, spec, np.random.default_rng(9)))
+    rng = np.random.default_rng(9)
+    singles = mean_of([run(lambda: tr._batch_losses(state, [item], cfg, spec, rng))
+                       for item in batch])
+    rng = np.random.default_rng(9)
+    reference = mean_of([run(lambda: _reference_pair_losses(state, *item, cfg, spec, rng))
+                         for item in batch])
+    for expect in (singles, reference):
+        for got, want in zip(batched[0], expect[0]):
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+        for name, g in batched[1].items():
+            want = expect[1][name]
+            assert np.allclose(g, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()), name
+
+
+def test_non_finite_gradient_stops_before_update(tmp_path, monkeypatch):
+    cfg, spec, batch = _step_inputs(tmp_path, 2)
+    state = init(cfg.encoder_config(), np.random.default_rng(0))
+    opt = AdamW(state.student)
+    before = {n: p.data.copy() for n, p in state.student.items()}
+    real_backward = tz.backward
+
+    def poisoned_backward(loss):
+        real_backward(loss)
+        state.student["block0.mix.w"].grad[0, 0] = np.nan
+
+    monkeypatch.setattr(tz, "backward", poisoned_backward)
+    with pytest.raises(AceError, match=r"step 0.*'block0\.mix\.w'"):
+        tr.train_step(state, opt, batch, cfg, spec, np.random.default_rng(0),
+                      total_steps=4, warmup_steps=1, epoch=0)
+    assert opt.t == 0
+    for name, p in state.student.items():
+        assert np.array_equal(p.data, before[name]), name
+
+
+def test_resume_refuses_a_different_config(tmp_path):
+    manifest = _tiny_dataset(tmp_path)
+    ckpt = train_loop(_tiny_run_cfg(epochs=1), manifest, tmp_path / "run")
+    with pytest.raises(AceError, match=r"batch_size \(checkpoint 4, now 2\)"):
+        train_loop(_tiny_run_cfg(epochs=1, batch_size=2), manifest, tmp_path / "run",
+                   resume_from=ckpt)
+    # checkpoint cadence does not change the trajectory
+    train_loop(_tiny_run_cfg(epochs=1, checkpoint_every=5), manifest, tmp_path / "run",
+               resume_from=ckpt)
