@@ -136,11 +136,14 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_geom_verify(args) -> int:
     cfg, _ = _resolve(args)
+    t0 = time.perf_counter()
     report = verify_geometry(cfg.grid_spec(), args.samples,
                              cfg.seed, corrupt=args.corrupt)
+    elapsed = time.perf_counter() - t0
     for note in report.failures[:20]:
         _log(note)
-    _log(f"geom-verify: {report.samples} pairs, {len(report.failures)} failures")
+    _log(f"geom-verify: {report.samples} pairs, {len(report.failures)} failures, "
+         f"{elapsed:.3f} s, {report.samples / max(elapsed, 1e-9):.0f} pairs/s")
     if args.corrupt:
         return 0 if report.failures else 1
     return 0 if report.ok else 1

@@ -1,8 +1,9 @@
-"""Brute-force pixel-rectangle oracle for the crop-overlap geometry.
+"""Pixel-rectangle oracle for the crop-overlap geometry.
 
 This path is deliberately independent of `cropgrid.compute_overlap`: every
-token's pixel footprint is enumerated and intersected numerically, then the
-two derivations are compared exactly.
+token's pixel footprint is laid out as an integer rectangle, all of them are
+intersected at once with broadcast min/max arithmetic, and the overlap sets
+are read off the areas; then the two derivations are compared exactly.
 """
 
 from __future__ import annotations
@@ -11,23 +12,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cropgrid import CropPair, GridSpec, compute_overlap, sample_crop_pair
+from .cropgrid import CropPair, GridSpec, sample_crop_pair
 
 
-def _rect(x0: int, y0: int, size: int) -> tuple[int, int, int, int]:
-    return (x0, y0, x0 + size, y0 + size)
+def _rect(x0, y0, size) -> np.ndarray:
+    """Pixel rectangle(s) (x0, y0, x1, y1) along the last axis."""
+    return np.array([x0, y0, x0 + size, y0 + size]).T
 
 
-def _intersect(a, b):
-    x0, y0 = max(a[0], b[0]), max(a[1], b[1])
-    x1, y1 = min(a[2], b[2]), min(a[3], b[3])
-    if x0 >= x1 or y0 >= y1:
-        return None
-    return (x0, y0, x1, y1)
+def _token_rects(anchor, m: int, t: int, patches_per_token: int) -> np.ndarray:
+    """(t*t, 4) pixel rectangles of a crop's tokens, in row-major token order."""
+    size = patches_per_token * m
+    rows, cols = np.indices((t, t)).reshape(2, -1)
+    return _rect(anchor[0] * m + cols * size, anchor[1] * m + rows * size, size)
 
 
-def _area(r) -> int:
-    return (r[2] - r[0]) * (r[3] - r[1])
+def _overlap_area(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection areas of broadcast (..., 4) rectangle arrays (0 when disjoint)."""
+    w = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    h = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    return np.maximum(w, 0) * np.maximum(h, 0)
+
+
+def _area(r: np.ndarray) -> np.ndarray:
+    return (r[..., 2] - r[..., 0]) * (r[..., 3] - r[..., 1])
 
 
 def overlap_via_pixels(spec: GridSpec, anchor1, anchor2):
@@ -39,47 +47,34 @@ def overlap_via_pixels(spec: GridSpec, anchor1, anchor2):
     m, t = spec.m, spec.T
     crop1 = _rect(anchor1[0] * m, anchor1[1] * m, spec.c1 * m)
     crop2 = _rect(anchor2[0] * m, anchor2[1] * m, spec.c2 * m)
-    inter = _intersect(crop1, crop2)
-    assert inter is not None, "sampled crops never miss each other"
+    inter = np.concatenate([np.maximum(crop1[:2], crop2[:2]),
+                            np.minimum(crop1[2:], crop2[2:])])
+    assert _overlap_area(crop1, crop2) > 0, "sampled crops never miss each other"
 
-    def token_rect(anchor, token_r, token_c, patches_per_token):
-        size = patches_per_token * m
-        return _rect(anchor[0] * m + token_c * size, anchor[1] * m + token_r * size, size)
+    rects1 = _token_rects(anchor1, m, t, 1)
+    rects2 = _token_rects(anchor2, m, t, 2)
+    ov1, ov2 = _overlap_area(rects1, inter), _overlap_area(rects2, inter)
+    hit1, hit2 = ov1 > 0, ov2 > 0
+    assert np.array_equal(ov1[hit1], _area(rects1[hit1])), \
+        "partial token overlap is a geometry bug"
+    assert np.array_equal(ov2[hit2], _area(rects2[hit2])), \
+        "partial token overlap is a geometry bug"
+    O1 = hit1.reshape(t, t).astype(np.int8)
+    O2 = hit2.reshape(t, t).astype(np.int8)
+    o1_idx, idx2 = np.flatnonzero(hit1), np.flatnonzero(hit2)
 
-    idx1, idx2 = [], []
-    O1 = np.zeros((t, t), dtype=np.int8)
-    O2 = np.zeros((t, t), dtype=np.int8)
-    rects1, rects2 = {}, {}
-    for r in range(t):
-        for c in range(t):
-            r1 = token_rect(anchor1, r, c, 1)
-            ov = _intersect(r1, inter)
-            if ov is not None:
-                assert _area(ov) == _area(r1), "partial token overlap is a geometry bug"
-                O1[r, c] = 1
-                rects1[r * t + c] = r1
-            r2 = token_rect(anchor2, r, c, 2)
-            ov = _intersect(r2, inter)
-            if ov is not None:
-                assert _area(ov) == _area(r2), "partial token overlap is a geometry bug"
-                O2[r, c] = 1
-                idx2.append(r * t + c)
-                rects2[r * t + c] = r2
-
-    matches = []
-    for i2 in idx2:
-        big = rects2[i2]
-        # the four C1 tokens tiling this C2 token, sub-ordered row-major
-        members = sorted(
-            (j for j, rect in rects1.items() if _intersect(rect, big) is not None
-             and _area(_intersect(rect, big)) == _area(rect)),
-            key=lambda j: (rects1[j][1], rects1[j][0]))
-        assert len(members) == 4, "each overlapped C2 token must be tiled by 4 C1 tokens"
-        matches.append(tuple(members))
-        idx1.extend(members)
-    o1_idx = sorted(rects1)
-    assert o1_idx == sorted(idx1), "C1 overlap tokens must exactly tile the C2 side"
-    return tuple(idx1), tuple(idx2), O1, O2, tuple(matches)
+    # C1 overlap tokens visited in (y0, x0) order, so each C2 token's members
+    # come out sub-ordered row-major
+    cand = o1_idx[np.lexsort((rects1[o1_idx, 0], rects1[o1_idx, 1]))]
+    # inside[i, j]: C1 token cand[j] lies fully inside C2 token idx2[i]
+    inside = _overlap_area(rects2[idx2, None], rects1[None, cand]) == _area(rects1[cand])
+    assert np.all(inside.sum(axis=1) == 4), \
+        "each overlapped C2 token must be tiled by 4 C1 tokens"
+    members = cand[np.nonzero(inside)[1]]
+    assert np.array_equal(np.sort(members), o1_idx), \
+        "C1 overlap tokens must exactly tile the C2 side"
+    matches = tuple(map(tuple, members.reshape(-1, 4).tolist()))
+    return tuple(members.tolist()), tuple(idx2.tolist()), O1, O2, matches
 
 
 @dataclass

@@ -51,28 +51,6 @@ def _student_arrays(state: EncoderState) -> dict[str, np.ndarray]:
     return {name: t.data for name, t in state.student.items()}
 
 
-def _resize_batch(crops: np.ndarray, out_side: int) -> np.ndarray:
-    b, s, _ = crops.shape
-    if s == out_side:
-        return crops.astype(float, copy=True)
-    if s % out_side == 0:
-        f = s // out_side
-        return crops.reshape(b, out_side, f, out_side, f).mean(axis=(2, 4))
-    coords = (np.arange(out_side) + 0.5) * (s / out_side) - 0.5
-    lo = np.clip(np.floor(coords).astype(int), 0, s - 1)
-    hi = np.clip(lo + 1, 0, s - 1)
-    fr = np.clip(coords - lo, 0.0, 1.0)
-    a = crops[:, lo][:, :, lo]
-    bq = crops[:, lo][:, :, hi]
-    c = crops[:, hi][:, :, lo]
-    d = crops[:, hi][:, :, hi]
-    w00 = np.outer(1 - fr, 1 - fr)[None]
-    w01 = np.outer(1 - fr, fr)[None]
-    w10 = np.outer(fr, 1 - fr)[None]
-    w11 = np.outer(fr, fr)[None]
-    return a * w00 + bq * w01 + c * w10 + d * w11
-
-
 def embed_crops(state: EncoderState, crops: np.ndarray) -> np.ndarray:
     """Shared feature path: resize to H0, encode, mean-pool tokens -> (B, K)."""
     cfg = state.config
@@ -80,7 +58,7 @@ def embed_crops(state: EncoderState, crops: np.ndarray) -> np.ndarray:
     feats = []
     for i in range(0, len(crops), _RESIZE_CHUNK):
         chunk = np.asarray(crops[i:i + _RESIZE_CHUNK], dtype=float)
-        resized = _resize_batch(chunk, cfg.H0)
+        resized = resize(chunk, cfg.H0)
         feats.append(encode_batch(cfg, params, resized).mean(axis=1))
     return np.concatenate(feats, axis=0)
 

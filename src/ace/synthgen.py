@@ -102,6 +102,18 @@ def _soft_mask(dist: np.ndarray, width: float) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(np.clip(dist / width, -40, 40)))
 
 
+def _grating(s: int, amp: float, fx: float, fy: float, px: float, py: float) -> np.ndarray:
+    """amp * sin(2 pi fx x / s + px) * sin(2 pi fy y / s + py) on the s x s pixel grid.
+
+    The grid is a rank-1 product, so each sine is taken on one (1, s) row or
+    (s, 1) column and broadcast; every pixel is the same floating-point
+    expression as on a full np.mgrid.
+    """
+    v = np.arange(s, dtype=float)
+    return amp * np.sin(2 * np.pi * fx * v[None, :] / s + px) \
+        * np.sin(2 * np.pi * fy * v[:, None] / s + py)
+
+
 def generate(rng: np.random.Generator, spec: PhantomSpec,
              instance_id: str = "phantom", seed: int = 0) -> Phantom:
     """Render one phantom; deterministic given the generator state."""
@@ -120,8 +132,7 @@ def generate(rng: np.random.Generator, spec: PhantomSpec,
         fy = rng.uniform(freq_lo, freq_hi)
         px = rng.uniform(0, 2 * np.pi)
         py = rng.uniform(0, 2 * np.pi)
-        return 1.0 + spec.texture_amp * np.sin(2 * np.pi * fx * xx / s + px) \
-            * np.sin(2 * np.pi * fy * yy / s + py)
+        return 1.0 + _grating(s, spec.texture_amp, fx, fy, px, py)
 
     # instance-wide appearance parameters, drawn before any structure so the
     # per-structure stream stays aligned across spec variants
@@ -221,9 +232,7 @@ def generate(rng: np.random.Generator, spec: PhantomSpec,
 
     # apply the instance-wide illumination field and gain
     if spec.field_amp > 0:
-        field = 1.0 + spec.field_amp * np.sin(2 * np.pi * ffx * xx / s + fpx) \
-            * np.sin(2 * np.pi * ffy * yy / s + fpy)
-        img *= field
+        img *= 1.0 + _grating(s, spec.field_amp, ffx, ffy, fpx, fpy)
     img *= gain
 
     if spec.intensity_noise > 0:

@@ -313,13 +313,20 @@ def slice_batch(a: Tensor, start: int, stop: int) -> Tensor:
 
 def take_rows(a: Tensor, idx) -> Tensor:
     """Gather rows (axis -2) of a matrix or of every matrix in a batch;
-    backward scatters with accumulation."""
+    backward undoes a permutation by gathering with its inverse and otherwise
+    scatters with accumulation."""
     _check_batched(a, "take_rows")
     idx = np.asarray(idx, dtype=np.intp)
     sel = (slice(None),) * (a.data.ndim - 2) + (idx,)
 
     def bw(g):
-        if a.requires_grad:
+        if not a.requires_grad:
+            return
+        inv = np.argsort(idx)
+        if len(idx) == a.data.shape[-2] and np.array_equal(idx[inv], np.arange(len(idx))):
+            # each row receives exactly one term
+            _accum(a, g[..., inv, :])
+        else:
             ga = np.zeros_like(a.data)
             np.add.at(ga, sel, g)
             _accum(a, ga)

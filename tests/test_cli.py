@@ -1,5 +1,7 @@
 """CLI surface: subcommands, artifacts, exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -66,10 +68,19 @@ def test_gradcheck_command():
     assert main(["gradcheck", "--trials", "2"]) == 0
 
 
-def test_geom_verify_command(tmp_path):
+def test_geom_verify_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ACE_LOG", "1")
     assert main(["geom-verify", "--out", str(tmp_path / "g"), "--samples", "50"]) == 0
+    summary = capsys.readouterr().err.strip().splitlines()[-1]
+    m = re.fullmatch(r"geom-verify: 50 pairs, 0 failures, ([0-9.]+) s, ([0-9]+) pairs/s",
+                     summary)
+    assert m, summary
+    assert float(m.group(1)) > 0 and int(m.group(2)) > 0
     assert main(["geom-verify", "--out", str(tmp_path / "g"), "--samples", "20",
                  "--corrupt"]) == 0
+    summary = capsys.readouterr().err.strip().splitlines()[-1]
+    assert re.fullmatch(r"geom-verify: 20 pairs, [1-9][0-9]* failures, [0-9.]+ s, "
+                        r"[0-9]+ pairs/s", summary), summary
 
 
 def test_domain_error_exit_code(tmp_path):

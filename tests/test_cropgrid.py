@@ -27,21 +27,34 @@ def test_spec_derived_properties(desk_spec, paper_spec):
     assert paper_spec.T == 14 and paper_spec.side == 1024
 
 
-def test_overlap_matches_pixel_oracle_exhaustively(desk_spec):
-    spec = desk_spec
-    lim2 = spec.G - spec.c2
-    limu = (spec.c2 - spec.c1) // 2
-    for x2 in range(lim2 + 1):
-        for y2 in range(lim2 + 1):
-            for u in range(limu + 1):
-                for v in range(limu + 1):
-                    a1 = (x2 + 2 * u, y2 + 2 * v)
-                    a2 = (x2, y2)
-                    idx1, idx2, O1, O2 = compute_overlap(spec, a1, a2)
-                    e1, e2, eO1, eO2, _ = overlap_via_pixels(spec, a1, a2)
-                    assert idx1 == e1 and idx2 == e2
-                    assert np.array_equal(O1, eO1) and np.array_equal(O2, eO2)
-                    assert len(idx1) == 4 * len(idx2)
+def test_overlap_matches_pixel_oracle_exhaustively(desk_spec, paper_spec):
+    # every anchor pair at both scales: 25 at desk scale, 1600 at paper scale
+    for spec in (desk_spec, paper_spec):
+        lim2 = spec.G - spec.c2
+        limu = (spec.c2 - spec.c1) // 2
+        for x2 in range(lim2 + 1):
+            for y2 in range(lim2 + 1):
+                for u in range(limu + 1):
+                    for v in range(limu + 1):
+                        a1 = (x2 + 2 * u, y2 + 2 * v)
+                        a2 = (x2, y2)
+                        idx1, idx2, O1, O2 = compute_overlap(spec, a1, a2)
+                        e1, e2, eO1, eO2, matches = overlap_via_pixels(spec, a1, a2)
+                        assert idx1 == e1 and idx2 == e2
+                        assert np.array_equal(O1, eO1) and np.array_equal(O2, eO2)
+                        assert eO1.dtype == eO2.dtype == np.int8
+                        assert all(type(i) is int for i in e1 + e2)
+                        assert len(idx1) == 4 * len(idx2)
+                        assert matches == tuple(zip(*[iter(e1)] * 4))
+
+
+def test_pixel_oracle_rejects_partial_token_overlap(desk_spec):
+    # C1 one patch right of C2's origin: C2's first token column straddles
+    # the overlap edge
+    with pytest.raises(AssertionError, match="partial token overlap"):
+        overlap_via_pixels(desk_spec, (1, 0), (0, 0))
+    with pytest.raises(AssertionError, match="partial token overlap"):
+        overlap_via_pixels(desk_spec, (2, 3), (0, 0))
 
 
 def test_overlap_sub_order_is_row_major(desk_spec):
@@ -78,11 +91,12 @@ def test_sampled_pairs_are_valid(desk_spec, paper_spec):
             assert pair.O2.sum() == (spec.T // 2) ** 2
 
 
-def test_verify_geometry_clean_and_corrupt(desk_spec):
-    assert verify_geometry(desk_spec, 100, seed=1).ok
-    # injected odd-alignment corruption must be caught
-    report = verify_geometry(desk_spec, 50, seed=1, corrupt=True)
-    assert report.failures
+def test_verify_geometry_clean_and_corrupt(desk_spec, paper_spec):
+    for spec in (desk_spec, paper_spec):
+        assert verify_geometry(spec, 100, seed=1).ok
+        # injected odd-alignment corruption must be caught
+        report = verify_geometry(spec, 50, seed=1, corrupt=True)
+        assert report.failures
 
 
 def test_resize_identity_and_box_average():
@@ -112,6 +126,10 @@ def test_resize_bilinear_preserves_constants_and_ramps():
 def test_resize_rejects_non_square():
     with pytest.raises(ShapeError):
         resize(np.zeros((4, 6)), 2)
+    with pytest.raises(ShapeError):
+        resize(np.zeros((3, 4, 6)), 2)
+    with pytest.raises(ShapeError):
+        resize(np.zeros(4), 2)
 
 
 def test_extract_and_resize(desk_spec):

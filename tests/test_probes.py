@@ -30,11 +30,14 @@ def probe_phantoms():
 
 def test_resize_batch_matches_single_image_resize():
     rng = np.random.default_rng(0)
-    for side, out_side in ((64, 32), (56, 32), (112, 64)):
+    for side, out_side in ((64, 32), (56, 32), (112, 64), (32, 32)):
         crops = rng.random((3, side, side))
-        batched = pb._resize_batch(crops, out_side)
+        batched = resize(crops, out_side)
+        assert batched.shape == (3, out_side, out_side)
         for i in range(3):
-            assert np.allclose(batched[i], resize(crops[i], out_side), atol=1e-12)
+            assert np.array_equal(batched[i], resize(crops[i], out_side))
+    stacked = rng.random((2, 3, 56, 56))
+    assert np.array_equal(resize(stacked, 32)[1, 2], resize(stacked[1, 2], 32))
 
 
 def test_crop_centered_padding():

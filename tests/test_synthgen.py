@@ -68,6 +68,15 @@ def test_generate_deterministic_for_equal_rng_state():
     assert a.landmarks == b.landmarks
 
 
+def test_separable_grating_matches_full_grid():
+    for s in (256, 97):
+        yy, xx = np.mgrid[0:s, 0:s].astype(float)
+        for amp, fx, fy, px, py in ((0.15, 3.7, 6.2, 1.1, 5.9), (0.12, 0.5, 2.5, 0.0, 6.2)):
+            full = amp * np.sin(2 * np.pi * fx * xx / s + px) \
+                * np.sin(2 * np.pi * fy * yy / s + py)
+            assert np.array_equal(sg._grating(s, amp, fx, fy, px, py), full)
+
+
 def test_intensity_range():
     ph = generate(np.random.default_rng(2), PhantomSpec(side=128))
     assert ph.image.min() >= 0.0 and ph.image.max() <= 1.0

@@ -105,6 +105,8 @@ _V4 = _rand(4)
     ("softmax", lambda x: tz.softmax_with_temperature(x, 0.7), (6,)),
     ("mean", lambda x: tz.tensor_mean(x), (3, 4)),
     ("pool", lambda x: tz.masked_mean_pool(x, np.array([1, 0, 1])), (3, 4)),
+    ("take_rows_perm", lambda x: tz.take_rows(x, [2, 0, 1]), (3, 4)),
+    ("take_rows_perm_batch", lambda x: tz.take_rows(x, [1, 3, 0, 2]), (2, 4, 3)),
 ])
 def test_gradients_per_op(name, f, shape):
     x = Tensor(_rand(*shape))
@@ -172,6 +174,21 @@ def test_backward_accumulates_and_clears_tape():
         backward(loss)
     assert np.allclose(x.grad, 2 * x.data + 1)
     assert len(tape) == 0
+
+
+def test_take_rows_permutation_backward_matches_scatter():
+    # a permutation's gradient is undone by gather; it must equal the
+    # accumulating scatter bit for bit
+    rng = np.random.default_rng(4)
+    for shape in ((6, 3), (2, 6, 3)):
+        perm = rng.permutation(6)
+        w = rng.normal(size=shape)
+        with Tape():
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
+            backward(tz.tensor_sum(tz.mul(tz.take_rows(x, perm), Tensor(w))))
+        ref = np.zeros(shape)
+        np.add.at(ref, (slice(None),) * (len(shape) - 2) + (perm,), w)
+        assert np.array_equal(x.grad, ref)
 
 
 def test_constants_record_nothing():
