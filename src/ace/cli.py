@@ -39,15 +39,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="override a single config key (repeatable)")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=None, help="worker thread cap")
 
 
 def _resolve(args) -> tuple:
     cfg = load_config(args.config, args.set)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_snapshot(cfg, out / "config.resolved")

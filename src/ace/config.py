@@ -66,10 +66,8 @@ class RunConfig:
     tau_teacher: float = 0.04
     centering: bool = True
     positive_only: bool = False
-    local_halving: bool = False
     checkpoint_every: int = 10
     seed: int = 0
-    threads: int = 1
 
     # photometric augmentation amplitudes
     aug_brightness: float = 0.1
@@ -89,7 +87,7 @@ class RunConfig:
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(K=self.embed_dim, T=self.crop1_patches,
                              H0=self.resize_side, depth=self.encoder_depth,
-                             hidden=self.encoder_hidden, seed=self.seed)
+                             hidden=self.encoder_hidden)
 
     def phantom_spec(self) -> PhantomSpec:
         return PhantomSpec(side=self.phantom_side,
@@ -133,7 +131,7 @@ def _parse_value(key: str, raw: str):
 def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
     for pair in pairs:
         if "=" not in pair:
-            raise ConfigError(f"override {pair!r} is not key=value")
+            raise ConfigError(f"expected key = value, got {pair!r}")
         key, raw = pair.split("=", 1)
         key = key.strip()
         if key not in _FIELD_TYPES:
@@ -146,15 +144,14 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
-        pairs = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            pairs.append(stripped)
-        apply_overrides(cfg, pairs)
+            try:
+                apply_overrides(cfg, [stripped])
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if overrides:
         apply_overrides(cfg, overrides)
     return cfg

@@ -10,9 +10,11 @@ interface a transformer backbone would, which is all the loss graph needs.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +32,6 @@ class EncoderConfig:
     H0: int = 64
     depth: int = 2
     hidden: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if self.H0 % self.T != 0:
@@ -240,15 +241,25 @@ _VERSION = 1
 
 
 def write_blob_file(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write atomically: a failed or interrupted save leaves `path` as it was."""
     header = dict(header)
     header["blobs"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<IQ", _VERSION, len(raw)))
-        f.write(raw)
-        for a in arrays.values():
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<IQ", _VERSION, len(raw)))
+            f.write(raw)
+            for a in arrays.values():
+                f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_blob_file(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -277,6 +288,15 @@ def read_blob_file(path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
+def config_from_header(cls, values: dict, path):
+    """Rebuild config dataclass `cls` from a checkpoint; unknown keys are refused."""
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise FormatError(f"{path}: unknown {cls.__name__} key(s) "
+                          + ", ".join(map(repr, unknown)))
+    return cls(**values)
+
+
 def save_state(path, state: EncoderState, extra: dict | None = None,
                extra_arrays: dict[str, np.ndarray] | None = None) -> None:
     header = {"config": asdict(state.config), "step": state.step, "extra": extra or {}}
@@ -292,7 +312,7 @@ def save_state(path, state: EncoderState, extra: dict | None = None,
 
 def load_state(path) -> tuple[EncoderState, dict, dict[str, np.ndarray]]:
     header, arrays = read_blob_file(path)
-    cfg = EncoderConfig(**header["config"])
+    cfg = config_from_header(EncoderConfig, header["config"], path)
     student = {}
     teacher = {}
     extra_arrays = {}

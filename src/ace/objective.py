@@ -20,11 +20,6 @@ from .cropgrid import CropPair, GridSpec
 from .errors import DomainError, ParameterError, ShapeError
 from .tensor import Tensor
 
-DEFAULT_LAMBDA1 = 0.1
-DEFAULT_LAMBDA2 = 1.0
-DEFAULT_LAMBDA3 = 1.0
-DEFAULT_ALPHA_COMP = 0.9
-DEFAULT_ALPHA_DECOMP = 0.99
 CENTER_RATE = 0.9
 
 
@@ -47,9 +42,6 @@ class LossBreakdown:
     comp_term: float
     decomp_term: float
     total: float
-    lambda1: float
-    lambda2: float
-    lambda3: float
 
 
 def gaussian_kernel(k: int, sigma: float) -> np.ndarray:
@@ -82,39 +74,34 @@ def build_target(pair: CropPair, spec: GridSpec, role: str,
     return MatchTarget(matrix=matrix, kernel_size=k, sigma=sigma, role=role)
 
 
+def _axis_weights(t: int, side: int, w: int, lo: int, shift: int, half: int):
+    """One axis of the target rule: (t, side) kernel indices of teacher
+    coordinate r against column a, whose exact match is r = a + shift, and
+    whether the pair lies within the kernel radius and inside the overlap,
+    the teacher coordinates lo..lo+w-1."""
+    r = np.arange(t)[:, None]
+    match = np.arange(side) + shift
+    d = r - match
+    ok = (np.abs(d) <= half) & (lo <= r) & (r < lo + w) & (lo <= match) & (match < lo + w)
+    return np.clip(d + half, 0, 2 * half), ok
+
+
 @lru_cache(maxsize=1024)
 def _target_matrix(t: int, role: str, ox: int, oy: int, k: int, sigma: float) -> np.ndarray:
-    n = t * t
-    half_k = (k - 1) // 2
-    kern = gaussian_kernel(k, sigma)
-    h = t // 2
-
     if role == "composition":
-        target = np.zeros((n, n // 4))
-        # every composed C1 cell is in the overlap (C1 lies inside C2)
-        for cr in range(h):
-            for cc in range(h):
-                col = cr * h + cc
-                tr0, tc0 = cr + oy, cc + ox  # exact-match C2 token
-                for dr in range(-half_k, half_k + 1):
-                    for dc in range(-half_k, half_k + 1):
-                        r, c = tr0 + dr, tc0 + dc
-                        # clip kernel mass outside the overlap block
-                        if oy <= r < oy + h and ox <= c < ox + h:
-                            target[r * t + c, col] = kern[dr + half_k, dc + half_k]
+        # composed C1 cells on a (T/2 x T/2) lattice vs C2 tokens; the overlap
+        # is the T/2 x T/2 block of C2 tokens at (oy, ox)
+        side, w, axes = t // 2, t // 2, [(o, o) for o in (oy, ox)]
     else:
-        target = np.zeros((n, 4 * n))
-        # decomposed C2 sub-cells live on a (2T x 2T) m-patch lattice;
-        # the in-overlap window is the T x T block at offset (2*oy, 2*ox)
-        for rr in range(2 * oy, 2 * oy + t):
-            for cc in range(2 * ox, 2 * ox + t):
-                col = rr * 2 * t + cc
-                tr0, tc0 = rr - 2 * oy, cc - 2 * ox  # exact-match C1 token
-                for dr in range(-half_k, half_k + 1):
-                    for dc in range(-half_k, half_k + 1):
-                        r, c = tr0 + dr, tc0 + dc
-                        if 0 <= r < t and 0 <= c < t:
-                            target[r * t + c, col] = kern[dr + half_k, dc + half_k]
+        # decomposed C2 sub-cells on a (2T x 2T) m-patch lattice vs C1 tokens;
+        # C1 lies inside C2, so all of C1 is overlap
+        side, w, axes = 2 * t, t, [(0, -2 * o) for o in (oy, ox)]
+    half = (k - 1) // 2
+    (dy, oky), (dx, okx) = [_axis_weights(t, side, w, lo, shift, half) for lo, shift in axes]
+    # entry (r, c, a, b) lands at row r*t + c, column a*side + b
+    vals = gaussian_kernel(k, sigma)[dy[:, None, :, None], dx[None, :, None, :]]
+    target = np.where(oky[:, None, :, None] & okx[None, :, None, :], vals, 0.0)
+    target = target.reshape(t * t, side * side)
     target.flags.writeable = False
     return target
 
@@ -210,13 +197,11 @@ def update_center(center: np.ndarray, t_pooled_mean: np.ndarray,
 
 
 def total_loss(global_term: Tensor, comp_term: Tensor, decomp_term: Tensor,
-               lambda1: float = DEFAULT_LAMBDA1, lambda2: float = DEFAULT_LAMBDA2,
-               lambda3: float = DEFAULT_LAMBDA3):
+               lambda1: float, lambda2: float, lambda3: float):
     """Weighted sum of the three branches; returns (tensor, breakdown record)."""
     total = tz.add(tz.add(tz.scale(global_term, lambda1), tz.scale(comp_term, lambda2)),
                    tz.scale(decomp_term, lambda3))
     breakdown = LossBreakdown(
         global_term=global_term.item(), comp_term=comp_term.item(),
-        decomp_term=decomp_term.item(), total=total.item(),
-        lambda1=lambda1, lambda2=lambda2, lambda3=lambda3)
+        decomp_term=decomp_term.item(), total=total.item())
     return total, breakdown

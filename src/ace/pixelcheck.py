@@ -49,16 +49,16 @@ def overlap_via_pixels(spec: GridSpec, anchor1, anchor2):
     crop2 = _rect(anchor2[0] * m, anchor2[1] * m, spec.c2 * m)
     inter = np.concatenate([np.maximum(crop1[:2], crop2[:2]),
                             np.minimum(crop1[2:], crop2[2:])])
-    assert _overlap_area(crop1, crop2) > 0, "sampled crops never miss each other"
+    if _overlap_area(crop1, crop2) <= 0:
+        raise AssertionError("sampled crops never miss each other")
 
     rects1 = _token_rects(anchor1, m, t, 1)
     rects2 = _token_rects(anchor2, m, t, 2)
     ov1, ov2 = _overlap_area(rects1, inter), _overlap_area(rects2, inter)
     hit1, hit2 = ov1 > 0, ov2 > 0
-    assert np.array_equal(ov1[hit1], _area(rects1[hit1])), \
-        "partial token overlap is a geometry bug"
-    assert np.array_equal(ov2[hit2], _area(rects2[hit2])), \
-        "partial token overlap is a geometry bug"
+    if not (np.array_equal(ov1[hit1], _area(rects1[hit1]))
+            and np.array_equal(ov2[hit2], _area(rects2[hit2]))):
+        raise AssertionError("partial token overlap is a geometry bug")
     O1 = hit1.reshape(t, t).astype(np.int8)
     O2 = hit2.reshape(t, t).astype(np.int8)
     o1_idx, idx2 = np.flatnonzero(hit1), np.flatnonzero(hit2)
@@ -68,11 +68,11 @@ def overlap_via_pixels(spec: GridSpec, anchor1, anchor2):
     cand = o1_idx[np.lexsort((rects1[o1_idx, 0], rects1[o1_idx, 1]))]
     # inside[i, j]: C1 token cand[j] lies fully inside C2 token idx2[i]
     inside = _overlap_area(rects2[idx2, None], rects1[None, cand]) == _area(rects1[cand])
-    assert np.all(inside.sum(axis=1) == 4), \
-        "each overlapped C2 token must be tiled by 4 C1 tokens"
+    if not np.all(inside.sum(axis=1) == 4):
+        raise AssertionError("each overlapped C2 token must be tiled by 4 C1 tokens")
     members = cand[np.nonzero(inside)[1]]
-    assert np.array_equal(np.sort(members), o1_idx), \
-        "C1 overlap tokens must exactly tile the C2 side"
+    if not np.array_equal(np.sort(members), o1_idx):
+        raise AssertionError("C1 overlap tokens must exactly tile the C2 side")
     matches = tuple(map(tuple, members.reshape(-1, 4).tolist()))
     return tuple(members.tolist()), tuple(idx2.tolist()), O1, O2, matches
 

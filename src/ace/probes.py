@@ -100,11 +100,11 @@ def _crop_centered(image: np.ndarray, cx: float, cy: float, side: int) -> np.nda
     return out
 
 
-def _random_square(rng: np.random.Generator, side: int, frac_lo: float, frac_hi: float,
-                   multiple: int = 2):
-    size = int(rng.uniform(frac_lo, frac_hi) * side)
-    size -= size % multiple
-    size = max(multiple, size)
+def _random_square(rng: np.random.Generator, side: int):
+    """Even-sided square (x, y, size) covering 30-60% of the image side."""
+    size = int(rng.uniform(0.3, 0.6) * side)
+    size -= size % 2
+    size = max(2, size)
     x = int(rng.integers(0, side - size + 1))
     y = int(rng.integers(0, side - size + 1))
     return x, y, size
@@ -115,7 +115,6 @@ def _random_square(rng: np.random.Generator, side: int, frac_lo: float, frac_hi:
 
 def compositionality_probe(state: EncoderState, phantoms: list[Phantom], n_parts: int,
                            samples: int, rng: np.random.Generator,
-                           frac_lo: float = 0.3, frac_hi: float = 0.6,
                            checkpoint_id: str = "") -> ProbeReport:
     """Cosine between a patch embedding and the mean embedding of its sub-patches."""
     if n_parts not in (2, 4):
@@ -124,7 +123,7 @@ def compositionality_probe(state: EncoderState, phantoms: list[Phantom], n_parts
     for s in range(samples):
         ph = phantoms[int(rng.integers(0, len(phantoms)))]
         side = ph.image.shape[0]
-        x, y, size = _random_square(rng, side, frac_lo, frac_hi)
+        x, y, size = _random_square(rng, side)
         whole = ph.image[y:y + size, x:x + size]
         h = size // 2
         if n_parts == 2:
@@ -146,8 +145,7 @@ def compositionality_probe(state: EncoderState, phantoms: list[Phantom], n_parts
 
 def decompositionality_probe(state: EncoderState, phantoms: list[Phantom],
                              rng: np.random.Generator, batch_size: int = 32,
-                             n_batches: int = 8, frac_lo: float = 0.3,
-                             frac_hi: float = 0.6, checkpoint_id: str = "") -> ProbeReport:
+                             n_batches: int = 8, checkpoint_id: str = "") -> ProbeReport:
     """Match embed(X) - embed(X without a patch) against the excised patches."""
     if len(phantoms) < batch_size:
         raise ParameterError(f"need at least {batch_size} phantoms, got {len(phantoms)}")
@@ -158,7 +156,7 @@ def decompositionality_probe(state: EncoderState, phantoms: list[Phantom],
         wholes, excised, patches = [], [], []
         for i in chosen:
             img = phantoms[int(i)].image
-            x, y, size = _random_square(rng, img.shape[0], frac_lo, frac_hi)
+            x, y, size = _random_square(rng, img.shape[0])
             cut = img.copy()
             cut[y:y + size, x:x + size] = 0.0
             wholes.append(resize(img, state.config.H0))
@@ -188,8 +186,7 @@ def decompositionality_probe(state: EncoderState, phantoms: list[Phantom],
 
 def retrieval_probe(state: EncoderState, phantoms: list[Phantom],
                     rng: np.random.Generator, batch_size: int = 32,
-                    n_batches: int = 8, frac_lo: float = 0.3, frac_hi: float = 0.6,
-                    checkpoint_id: str = "") -> ProbeReport:
+                    n_batches: int = 8, checkpoint_id: str = "") -> ProbeReport:
     """Whole-image retrieval from one query patch per batch item."""
     if len(phantoms) < batch_size:
         raise ParameterError(f"need at least {batch_size} phantoms, got {len(phantoms)}")
@@ -202,7 +199,7 @@ def retrieval_probe(state: EncoderState, phantoms: list[Phantom],
         f_whole = embed_crops(state, wholes)
         for j in range(batch_size):
             img = phantoms[int(chosen[j])].image
-            x, y, size = _random_square(rng, img.shape[0], frac_lo, frac_hi)
+            x, y, size = _random_square(rng, img.shape[0])
             f_query = embed_crops(state, img[y:y + size, x:x + size][None])[0]
             sims = _cosine_matrix(f_query, f_whole)
             pred = int(np.argmax(sims))

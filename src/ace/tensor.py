@@ -23,8 +23,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data, dtype=DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -369,12 +369,12 @@ def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
     return _record(a.data * v.data, (a, v), bw)
 
 
-def row_norm(a: Tensor, eps: float = 1e-6) -> Tensor:
+def row_norm(a: Tensor) -> Tensor:
     """Standardize each row (last axis) to zero mean, unit variance."""
     _check_batched(a, "row_norm")
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     y = (a.data - mu) * inv
 
     def bw(g):

@@ -25,6 +25,7 @@ from .tensor import Tape, Tensor
 
 METRICS_NAME = "metrics.jsonl"
 CHECKPOINT_NAME = "checkpoint.ace"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -91,17 +92,15 @@ def augment(rng: np.random.Generator, image: np.ndarray, brightness: float = 0.1
 class AdamW:
     """Adam with decoupled weight decay; state keyed like the parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, lr: float, wd: float):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -114,7 +113,7 @@ class AdamW:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             # decay is skipped for norm gains/biases and other 1-d parameters
             if p.data.ndim > 1:
                 update = update + wd * p.data
@@ -229,14 +228,12 @@ def train_step(state: model.EncoderState, opt: AdamW,
                batch: list[tuple[np.ndarray, cropgrid.CropPair]], cfg: RunConfig,
                spec: cropgrid.GridSpec, rng: np.random.Generator,
                total_steps: int, warmup_steps: int, epoch: int) -> StepRecord:
-    local_scale = 0.5 if cfg.local_halving else 1.0
     with Tape():
         loss_global, loss_comp, loss_decomp, t_pooled = _batch_losses(
             state, batch, cfg, spec, rng)
         total, breakdown = objective.total_loss(
             loss_global, loss_comp, loss_decomp,
-            lambda1=cfg.lambda_global, lambda2=cfg.lambda_comp * local_scale,
-            lambda3=cfg.lambda_decomp * local_scale)
+            lambda1=cfg.lambda_global, lambda2=cfg.lambda_comp, lambda3=cfg.lambda_decomp)
         if not np.isfinite(total.item()):
             anchors = [(p.anchor1, p.anchor2) for _, p in batch]
             raise AceError(f"non-finite loss at step {state.step}; pair anchors: {anchors}")
@@ -279,7 +276,7 @@ def save_checkpoint(path, state: model.EncoderState, opt: AdamW,
 def load_checkpoint(path):
     """Returns (state, optimizer, rng, run_config)."""
     state, extra, extra_arrays = model.load_state(path)
-    cfg = RunConfig(**extra["run_config"])
+    cfg = model.config_from_header(RunConfig, extra["run_config"], path)
     opt = AdamW(state.student)
     opt.load_state_arrays(extra_arrays, int(extra["opt_t"]))
     rng = np.random.default_rng(0)
@@ -304,7 +301,7 @@ def _truncate_metrics(path: Path, upto_step: int):
 
 
 # keys that do not change the trajectory of a run
-_RESUME_FREE_KEYS = ("checkpoint_every", "threads")
+_RESUME_FREE_KEYS = ("checkpoint_every",)
 
 
 def _check_resumable(cfg: RunConfig, saved: RunConfig, path) -> None:

@@ -18,7 +18,7 @@ def paper_spec():
 
 @pytest.fixture
 def tiny_cfg():
-    return EncoderConfig(K=8, T=4, H0=16, depth=1, hidden=16, seed=0)
+    return EncoderConfig(K=8, T=4, H0=16, depth=1, hidden=16)
 
 
 @pytest.fixture

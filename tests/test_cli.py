@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ace.cli import main
+from ace.model import read_blob_file, write_blob_file
 from ace.synthgen import load_manifest
 
 
@@ -92,6 +93,19 @@ def test_domain_error_exit_code(tmp_path):
 def test_bad_config_key_exit_code(tmp_path):
     code = main(["gen-data", "--out", str(tmp_path / "y"), "--set", "nope=1"])
     assert code == 1
+
+
+def test_checkpoint_with_retired_key_exit_code(workspace, tmp_path, capsys):
+    root, manifest, tiny = workspace
+    header, arrays = read_blob_file(root / "run" / "checkpoint.ace")
+    header["extra"]["run_config"]["threads"] = 1
+    ckpt = tmp_path / "old.ace"
+    write_blob_file(ckpt, header, arrays)
+    code = main(["probe", "symmetry", "--out", str(tmp_path / "p"), "--ckpt", str(ckpt),
+                 "--manifest", str(manifest), "--samples", "1"] + tiny)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "'threads'" in err
 
 
 def test_usage_error_exit_code():

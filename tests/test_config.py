@@ -1,7 +1,12 @@
 """Run configuration: defaults, parsing, overrides, snapshots."""
 
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import ace
 from ace.config import RunConfig, apply_overrides, load_config, write_snapshot
 from ace.errors import ConfigError
 
@@ -47,10 +52,13 @@ def test_config_file_with_comments(tmp_path):
     cfg = load_config(p, overrides=["seed=12"])
     assert cfg.seed == 12  # CLI overrides beat the file
     bad = tmp_path / "bad.cfg"
-    bad.write_text("epochs 7\n")
-    with pytest.raises(ConfigError) as exc:
-        load_config(bad)
-    assert ":1:" in str(exc.value)
+    for text, lineno in (("epochs 7\n", 1), ("# retired\nthreads = 1\n", 2),
+                         ("epochs = 7\nepochs = three\n", 2),
+                         ("\n\ncentering = maybe\n", 3)):
+        bad.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(bad)
+        assert str(exc.value).startswith(f"{bad}:{lineno}: "), str(exc.value)
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -59,3 +67,15 @@ def test_snapshot_roundtrip(tmp_path):
     write_snapshot(cfg, snap)
     back = load_config(snap)
     assert back == cfg
+
+
+def test_every_run_config_key_is_read():
+    """A key no module reads is a dead knob: setting it changes nothing."""
+    read = set()
+    for path in Path(ace.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "args")):
+                read.add(node.attr)
+    unread = [f.name for f in fields(RunConfig) if f.name not in read]
+    assert not unread, f"RunConfig keys never read: {unread}"

@@ -1,9 +1,15 @@
 """Crop geometry against the independent pixel-rectangle oracle, plus the
 resize and mask helpers against hand-built references."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ace
 from ace.cropgrid import (CropPair, GridSpec, compute_overlap, extract_and_resize,
                           pool_mask, resize, sample_crop_pair, token_to_grid,
                           upsample_mask)
@@ -55,6 +61,24 @@ def test_pixel_oracle_rejects_partial_token_overlap(desk_spec):
         overlap_via_pixels(desk_spec, (1, 0), (0, 0))
     with pytest.raises(AssertionError, match="partial token overlap"):
         overlap_via_pixels(desk_spec, (2, 3), (0, 0))
+
+
+def test_pixel_oracle_checks_survive_optimize_flag():
+    # `python -O` strips assert statements; the oracle's checks must stay
+    code = ("from ace.cropgrid import GridSpec\n"
+            "from ace.pixelcheck import overlap_via_pixels\n"
+            "desk = GridSpec(G=16, m=16, c1=8, c2=16, H0=64)\n"
+            "try:\n"
+            "    overlap_via_pixels(desk, (1, 0), (0, 0))\n"
+            "except AssertionError as exc:\n"
+            "    print('rejected:', exc)\n")
+    src = str(Path(ace.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "rejected: partial token overlap" in proc.stdout
 
 
 def test_overlap_sub_order_is_row_major(desk_spec):

@@ -184,3 +184,45 @@ def test_checkpoint_rejects_corruption(tiny_state, tmp_path):
     trunc.write_bytes(raw[:len(raw) - 100])
     with pytest.raises(FormatError):
         model.load_state(trunc)
+
+
+def test_checkpoint_names_unknown_config_keys(tiny_state, tmp_path):
+    path = tmp_path / "state.ace"
+    model.save_state(path, tiny_state)
+    header, arrays = model.read_blob_file(path)
+    header["config"].update(seed=0, width=3)
+    model.write_blob_file(path, header, arrays)
+    with pytest.raises(FormatError) as exc:
+        model.load_state(path)
+    assert str(path) in str(exc.value)
+    assert "'seed'" in str(exc.value) and "'width'" in str(exc.value)
+
+
+def test_failed_save_keeps_previous_checkpoint(tiny_state, tmp_path, monkeypatch):
+    path = tmp_path / "state.ace"
+    model.save_state(path, tiny_state)
+    before = path.read_bytes()
+    kept = {name: t.data.copy() for name, t in tiny_state.student.items()}
+
+    real = np.ascontiguousarray
+    calls = []
+
+    def fail_on_third_blob(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+
+    for t in tiny_state.student.values():
+        t.data += 1.0
+    tiny_state.step = 9
+    monkeypatch.setattr(model.np, "ascontiguousarray", fail_on_third_blob)
+    with pytest.raises(OSError, match="disk full"):
+        model.save_state(path, tiny_state)
+    monkeypatch.undo()
+    assert sorted(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
+    loaded, _, _ = model.load_state(path)
+    assert loaded.step == 0
+    for name, data in kept.items():
+        assert np.array_equal(loaded.student[name].data, data)

@@ -63,16 +63,20 @@ def test_gaussian_kernel_values():
         obj.gaussian_kernel(3, 0.0)
 
 
-def test_targets_match_reference_exactly(desk_spec):
+def test_targets_match_reference_exactly(desk_spec, paper_spec):
     rng = np.random.default_rng(0)
-    pairs = [sample_crop_pair(rng, desk_spec) for _ in range(10)]
-    pairs.append(_pair(desk_spec, (0, 0), (0, 0)))
-    pairs.append(_pair(desk_spec, (8, 8), (0, 0)))
-    for pair in pairs:
+    cases = [(sample_crop_pair(rng, desk_spec), desk_spec, 3) for _ in range(10)]
+    # every desk-scale crop offset, for three kernel sizes
+    cases += [(_pair(desk_spec, (2 * ox, 2 * oy), (0, 0)), desk_spec, k)
+              for ox in range(5) for oy in range(5) for k in (1, 3, 5)]
+    # paper scale: the four corner offsets and the centre one
+    cases += [(_pair(paper_spec, (4 + 2 * ox, 2 + 2 * oy), (4, 2)), paper_spec, 3)
+              for ox, oy in ((0, 0), (7, 0), (0, 7), (7, 7), (3, 4))]
+    for pair, spec, k in cases:
         for role in ("composition", "decomposition"):
-            got = obj.build_target(pair, desk_spec, role).matrix
-            expect = _reference_target(desk_spec, pair, role)
-            assert np.array_equal(got, expect), (pair.anchor1, pair.anchor2, role)
+            got = obj.build_target(pair, spec, role, k=k).matrix
+            expect = _reference_target(spec, pair, role, k=k)
+            assert np.array_equal(got, expect), (pair.anchor1, pair.anchor2, role, k)
 
 
 def test_target_shapes_and_value_set(desk_spec):

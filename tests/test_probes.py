@@ -14,7 +14,7 @@ from ace.synthgen import PhantomSpec, generate, instance_rng
 
 @pytest.fixture(scope="module")
 def probe_state():
-    return init(EncoderConfig(K=16, T=4, H0=32, depth=1, hidden=32, seed=0),
+    return init(EncoderConfig(K=16, T=4, H0=32, depth=1, hidden=32),
                 np.random.default_rng(0))
 
 
