@@ -276,7 +276,12 @@ def read_blob_file(path) -> tuple[dict, dict[str, np.ndarray]]:
         raw = f.read(hlen)
         if len(raw) != hlen:
             raise FormatError(f"{path}: truncated header payload")
-        header = json.loads(raw.decode("utf-8"))
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: corrupt header: {exc}") from None
+        if not isinstance(header, dict) or not isinstance(header.get("blobs"), list):
+            raise FormatError(f"{path}: header is not an object with a 'blobs' list")
         arrays = {}
         for blob in header.pop("blobs"):
             shape = tuple(blob["shape"])

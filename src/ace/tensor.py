@@ -88,17 +88,26 @@ def _record(out_data, parents: Sequence[Tensor], backward_fn: Callable) -> Tenso
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add one gradient contribution to ``t.grad``.
+
+    The first contribution is stored as given, and a later one replaces the
+    sum with a new array: no gradient is ever written in place.  That rule
+    lets a backward pass hand one array to several parents (``add``) or a
+    view of its own gradient (``reshape``, ``transpose``) without copying.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if g.shape != t.data.shape:
+        raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {t.data.shape}")
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
-    The active tape is consumed: its nodes are cleared after the sweep.
+    The active tape is consumed: its nodes are cleared after the sweep.  An
+    op output's gradient is dropped once its node has run, so only leaf
+    gradients outlive the sweep.
     """
     tape = _active_tape()
     if tape is None:
@@ -110,6 +119,7 @@ def backward(loss: Tensor) -> None:
         if out.grad is None:
             continue
         fn(out.grad)
+        out.grad = None
     tape.clear()
 
 
@@ -195,8 +205,12 @@ def log(a: Tensor) -> Tensor:
 def _sigmoid_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(-|x|) and sigmoid(x), free of overflow for large |x|; the
     exponential is taken once."""
-    e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0, e)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # the numerator is 1 where x >= 0 and e elsewhere: e <= 1, so the max
+    # picks it without a branch, and a NaN in e propagates
+    s = np.maximum(e, x >= 0)
     s /= 1.0 + e
     return e, s
 
@@ -215,7 +229,13 @@ def silu(a: Tensor) -> Tensor:
     _, s = _sigmoid_parts(a.data)
 
     def bw(g):
-        _accum(a, g * (s * (1.0 + a.data * (1.0 - s))))
+        # g * (s * (1 + x * (1 - s))), built in one buffer
+        f = 1.0 - s
+        f *= a.data
+        f += 1.0
+        f *= s
+        f *= g
+        _accum(a, f)
 
     return _record(a.data * s, (a,), bw)
 
@@ -372,15 +392,23 @@ def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
 def row_norm(a: Tensor) -> Tensor:
     """Standardize each row (last axis) to zero mean, unit variance."""
     _check_batched(a, "row_norm")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    # one centred pass gives the mean and the variance, as np.var computes them
+    xc = a.data - a.data.mean(axis=-1, keepdims=True)
+    y = np.square(xc)  # the squared deviations, then the output
+    var = y.sum(axis=-1, keepdims=True)
+    var /= a.data.shape[-1]
     inv = 1.0 / np.sqrt(var + 1e-6)
-    y = (a.data - mu) * inv
+    np.multiply(xc, inv, out=y)
 
     def bw(g):
+        # inv * (g - mean(g) - y * mean(g * y)), with xc as the scratch buffer
         gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * y).mean(axis=-1, keepdims=True)
-        _accum(a, inv * (g - gm - y * gy))
+        gy = np.multiply(g, y, out=xc).mean(axis=-1, keepdims=True)
+        np.multiply(y, gy, out=xc)
+        d = g - gm
+        d -= xc
+        d *= inv
+        _accum(a, d)
 
     return _record(y, (a,), bw)
 
@@ -505,15 +533,24 @@ def weighted_match_loss_logits(z: Tensor, target: np.ndarray, alpha: float,
     x = z.data
     rows = x.size // x.shape[-1]  # rows of every matrix in the batch
     e, sig = _sigmoid_parts(x)
-    softplus = np.maximum(x, 0.0) + np.log1p(e)  # softplus(z) = -log(1 - sigmoid z)
+    softplus = np.log1p(e, out=e)  # softplus(z) = -log(1 - sigmoid z)
+    softplus += np.maximum(x, 0.0)
     # with softplus(-z) = softplus(z) - z, the weighted sum
     # pos*softplus(-z) + neg*softplus(z) is w*softplus(z) - pos*z for w = pos + neg
     pos = alpha * t
-    w = pos if positive_only else pos + (1.0 - alpha) * (1.0 - t)
+    if positive_only:
+        w = pos
+    else:
+        w = 1.0 - t
+        w *= 1.0 - alpha
+        w += pos
     out = (np.vdot(w, softplus) - np.vdot(pos, x)) / rows
 
     def bw(g):
-        _accum(z, (w * sig - pos) * (float(g) / rows))
+        d = w * sig
+        d -= pos
+        d *= float(g) / rows
+        _accum(z, d)
 
     return _record(np.asarray(out), (z,), bw)
 

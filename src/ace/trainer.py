@@ -109,15 +109,25 @@ class AdamW:
                 continue
             m = self.m[name]
             v = self.v[name]
+            # the operations of (m / bc1) / (sqrt(v / bc2) + eps) + wd * p,
+            # in their order, with one scratch array besides the update
+            s = np.multiply(g, 1 - b1)
             m *= b1
-            m += (1 - b1) * g
+            m += s
+            np.multiply(g, 1 - b2, out=s)
+            s *= g
             v *= b2
-            v += (1 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            v += s
+            update = m / bc1
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += ADAM_EPS
+            update /= s
             # decay is skipped for norm gains/biases and other 1-d parameters
             if p.data.ndim > 1:
-                update = update + wd * p.data
-            p.data -= lr * update
+                update += np.multiply(p.data, wd, out=s)
+            update *= lr
+            p.data -= update
 
     def zero_grad(self):
         for p in self.params.values():
@@ -157,7 +167,7 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
         factor = max_norm / norm
         for p in params.values():
             if p.grad is not None:
-                p.grad *= factor
+                p.grad = p.grad * factor  # out of place: a gradient may be shared
     return norm
 
 

@@ -108,6 +108,20 @@ def test_checkpoint_with_retired_key_exit_code(workspace, tmp_path, capsys):
     assert str(ckpt) in err and "'threads'" in err
 
 
+def test_checkpoint_with_corrupt_header_exit_code(workspace, tmp_path, capsys):
+    root, manifest, tiny = workspace
+    raw = bytearray((root / "run" / "checkpoint.ace").read_bytes())
+    raw[16] = ord("#")  # first byte of the JSON header
+    ckpt = tmp_path / "corrupt.ace"
+    ckpt.write_bytes(bytes(raw))
+    code = main(["probe", "symmetry", "--out", str(tmp_path / "p"), "--ckpt", str(ckpt),
+                 "--manifest", str(manifest), "--samples", "1"] + tiny)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "corrupt header" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["probe", "unknown-probe", "--ckpt", "x", "--manifest", "y"])

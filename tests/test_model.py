@@ -1,5 +1,7 @@
 """Encoder, heads, EMA schedule and checkpoint container."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,32 @@ def test_checkpoint_rejects_corruption(tiny_state, tmp_path):
     trunc.write_bytes(raw[:len(raw) - 100])
     with pytest.raises(FormatError):
         model.load_state(trunc)
+
+
+def _header_bounds(raw: bytes) -> tuple[int, int]:
+    # magic (4 bytes), then version and header length as "<IQ"
+    hlen = int.from_bytes(raw[8:16], "little")
+    return 16, 16 + hlen
+
+
+@pytest.mark.parametrize("case", ["json", "utf8", "not_dict", "no_blobs"])
+def test_checkpoint_with_corrupt_header_names_file(tiny_state, tmp_path, case):
+    path = tmp_path / "state.ace"
+    model.save_state(path, tiny_state)
+    raw = path.read_bytes()
+    lo, hi = _header_bounds(raw)
+    if case == "json":
+        head = b"#" + raw[lo + 1:hi]
+    elif case == "utf8":
+        head = b"\xff" + raw[lo + 1:hi]
+    else:
+        doc = [] if case == "not_dict" else {"config": {}, "step": 0}
+        head = json.dumps(doc).encode().ljust(hi - lo)
+    assert len(head) == hi - lo
+    path.write_bytes(raw[:lo] + head + raw[hi:])
+    with pytest.raises(FormatError) as exc:
+        model.load_state(path)
+    assert str(path) in str(exc.value)
 
 
 def test_checkpoint_names_unknown_config_keys(tiny_state, tmp_path):

@@ -267,3 +267,163 @@ def test_grad_check_sampled_coordinates():
     err = grad_check(lambda t: tz.tensor_mean(tz.silu(t)), x, sample=5,
                      rng=np.random.default_rng(0))
     assert err < TOL
+
+
+# ---------------------------------------------------------------------------
+# gradient ownership: no gradient is written in place, op outputs are freed
+
+
+def test_diamond_graph_exact_and_no_gradient_written_in_place(monkeypatch):
+    handed = []
+    real = tz._accum
+
+    def spy(t, g):
+        handed.append((g, g.copy()))
+        real(t, g)
+
+    monkeypatch.setattr(tz, "_accum", spy)
+    w = np.arange(-6.0, 6.0).reshape(3, 4)
+    with Tape():
+        x = Tensor(_rand(3, 4), requires_grad=True)
+        a = tz.add(x, x)  # x reached twice, one g for both parents
+        c1 = tz.scale(a, 3.0)
+        c2 = tz.transpose(tz.transpose(tz.scale(a, 0.5)))  # views of g flow back
+        h = tz.add(c1, c2)  # a feeds two consumers, which share one g
+        backward(tz.tensor_sum(tz.mul(h, Tensor(w))))
+    assert np.array_equal(x.grad, 7.0 * w)
+    for g, before in handed:
+        assert np.array_equal(g, before)
+
+
+def test_backward_frees_op_outputs_and_keeps_leaf_gradients():
+    with Tape() as tape:
+        x = Tensor(_rand(2, 3, 4), requires_grad=True)
+        v = Tensor(_rand(4), requires_grad=True)
+        outs = [tz.row_norm(x)]
+        outs.append(tz.mul_rowvec(outs[-1], v))
+        outs.append(tz.silu(outs[-1]))
+        outs.append(tz.add(outs[-1], x))
+        outs.append(tz.weighted_match_loss_logits(outs[-1], np.full((2, 3, 4), 0.5), 0.9))
+        assert len(tape) == len(outs)
+        backward(outs[-1])
+    assert all(o.grad is None for o in outs)
+    assert x.grad.shape == x.shape and v.grad.shape == v.shape
+
+
+def test_misshaped_gradient_raises():
+    t = Tensor(np.zeros((3, 4)), requires_grad=True)
+    with pytest.raises(ShapeError, match=r"\(4,\).*\(3, 4\)"):
+        tz._accum(t, np.ones(4))
+    assert t.grad is None
+
+
+# ---------------------------------------------------------------------------
+# rewritten kernels against their previous expressions, bit for bit
+
+# ±0, exp(-|x|) underflow (|x| >= 746), NaN, and ordinary values
+_SPECIAL = np.array([0.0, -0.0, 745.5, -745.5, 746.0, -746.0, 800.0, -1e4, np.nan, 1.0, -1.0])
+
+
+def _edge_values(shape, seed):
+    x = np.random.default_rng(seed).normal(scale=4.0, size=shape)
+    flat = x.reshape(-1)
+    flat[:len(_SPECIAL)] = _SPECIAL
+    return x
+
+
+def _same_bits(a, b):
+    """Equal values, NaN where NaN, and the same sign on every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[~np.isnan(a)]), np.signbit(b[~np.isnan(b)])))
+
+
+def _ref_sigmoid_parts(x):
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0, e)
+    s /= 1.0 + e
+    return e, s
+
+
+def _ref_silu(x, g):
+    _, s = _ref_sigmoid_parts(x)
+    return x * s, g * (s * (1.0 + x * (1.0 - s)))
+
+
+def _ref_row_norm(x, g):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-6)
+    y = (x - mu) * inv
+    gm = g.mean(axis=-1, keepdims=True)
+    gy = (g * y).mean(axis=-1, keepdims=True)
+    return y, inv * (g - gm - y * gy)
+
+
+def _ref_match_loss(x, t, alpha, positive_only, g):
+    rows = x.size // x.shape[-1]
+    e, sig = _ref_sigmoid_parts(x)
+    softplus = np.maximum(x, 0.0) + np.log1p(e)
+    pos = alpha * t
+    w = pos if positive_only else pos + (1.0 - alpha) * (1.0 - t)
+    out = (np.vdot(w, softplus) - np.vdot(pos, x)) / rows
+    return out, (w * sig - pos) * (g / rows)
+
+
+def _value_and_grad(op, x, upstream):
+    """op(x) and the gradient it sends back for an upstream gradient exactly
+    `upstream`: sum(op(x) * upstream) hands that array to op's backward."""
+    with Tape():
+        leaf = Tensor(x, requires_grad=True)
+        out = op(leaf)
+        backward(tz.tensor_sum(tz.mul(out, Tensor(upstream))))
+    return out.data, leaf.grad
+
+
+@pytest.mark.parametrize("shape", [(4, 11), (2, 16, 130)])
+def test_sigmoid_parts_bit_identical(shape):
+    x = _edge_values(shape, 1)
+    for got, ref in zip(tz._sigmoid_parts(x), _ref_sigmoid_parts(x)):
+        assert _same_bits(got, ref)
+
+
+@pytest.mark.parametrize("shape", [(4, 11), (2, 16, 130)])
+def test_silu_bit_identical(shape):
+    x, g = _edge_values(shape, 2), _edge_values(shape, 3)[::-1].copy()
+    y, gx = _value_and_grad(tz.silu, x, g)
+    y_ref, gx_ref = _ref_silu(x, g)
+    assert _same_bits(y, y_ref) and _same_bits(gx, gx_ref)
+
+
+@pytest.mark.parametrize("shape", [(4, 11), (2, 16, 130), (3, 64, 32)])
+def test_row_norm_bit_identical(shape):
+    # the first row carries the special values; the rest stay finite
+    x, g = _edge_values(shape, 4), _edge_values(shape, 5)
+    y, gx = _value_and_grad(tz.row_norm, x, g)
+    y_ref, gx_ref = _ref_row_norm(x, g)
+    assert _same_bits(y, y_ref) and _same_bits(gx, gx_ref)
+    assert np.isfinite(gx.reshape(-1, shape[-1])[1:]).all()
+
+
+@pytest.mark.parametrize("positive_only", [False, True])
+@pytest.mark.parametrize("shape", [(5, 12), (3, 16, 64)])
+def test_match_loss_bit_identical(shape, positive_only):
+    x = _edge_values(shape, 6)
+    rng = np.random.default_rng(7)
+    t = (rng.random(shape) < 0.3) * rng.random(shape)
+    g = 0.37
+    with Tape():
+        leaf = Tensor(x, requires_grad=True)
+        loss = tz.weighted_match_loss_logits(leaf, t, 0.9, positive_only=positive_only)
+        backward(tz.scale(loss, g))
+    out_ref, gx_ref = _ref_match_loss(x, t, 0.9, positive_only, g)
+    assert _same_bits(loss.data, out_ref) and _same_bits(leaf.grad, gx_ref)
+    # without the NaN the loss is finite, and still bit-identical
+    x[np.isnan(x)] = 0.5
+    with Tape():
+        leaf = Tensor(x, requires_grad=True)
+        loss = tz.weighted_match_loss_logits(leaf, t, 0.9, positive_only=positive_only)
+        backward(tz.scale(loss, g))
+    out_ref, gx_ref = _ref_match_loss(x, t, 0.9, positive_only, g)
+    assert np.isfinite(out_ref)
+    assert _same_bits(loss.data, out_ref) and _same_bits(leaf.grad, gx_ref)

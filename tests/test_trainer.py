@@ -95,6 +95,40 @@ def test_adamw_matches_reference():
     assert np.allclose(p.data, expect, atol=1e-12)
 
 
+def _previous_adamw_step(x, m, v, g, t, lr, wd):
+    # AdamW.step's earlier expression, kept as the bit-level reference
+    bc1 = 1.0 - tr.ADAM_BETA1 ** t
+    bc2 = 1.0 - tr.ADAM_BETA2 ** t
+    m *= tr.ADAM_BETA1
+    m += (1 - tr.ADAM_BETA1) * g
+    v *= tr.ADAM_BETA2
+    v += (1 - tr.ADAM_BETA2) * g * g
+    update = (m / bc1) / (np.sqrt(v / bc2) + tr.ADAM_EPS)
+    if x.ndim > 1:
+        update = update + wd * x
+    x -= lr * update
+
+
+def test_adamw_step_bit_identical_to_previous_form():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (5, 7), "b": (7,)}
+    params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+    ref = {n: [p.data.copy(), np.zeros(shapes[n]), np.zeros(shapes[n])]
+           for n, p in params.items()}
+    opt = AdamW(params)
+    for t in range(1, 4):
+        for n, p in params.items():
+            g = rng.normal(scale=10.0 ** -t, size=shapes[n])
+            g.reshape(-1)[:3] = (0.0, -0.0, 1e-300)
+            p.grad = g
+            _previous_adamw_step(*ref[n], g, t, lr=3e-3, wd=0.05)
+        opt.step(lr=3e-3, wd=0.05)
+        for n, p in params.items():
+            x_ref, m_ref, v_ref = ref[n]
+            assert np.array_equal(p.data, x_ref), (n, t)
+            assert np.array_equal(opt.m[n], m_ref) and np.array_equal(opt.v[n], v_ref)
+
+
 def test_adamw_skips_decay_on_1d_params():
     x0 = np.full(4, 2.0)
     p1 = Tensor(x0.copy(), requires_grad=True)              # 1-d: no decay
@@ -132,6 +166,21 @@ def test_clip_gradients():
     norm = clip_gradients({"w": p}, 0.8)
     assert norm == pytest.approx(0.1)
     assert p.grad[0] == pytest.approx(0.1)  # untouched below the threshold
+
+
+def test_clip_gradients_leaves_shared_arrays_alone():
+    # backward may store one array as the gradient of several tensors
+    shared = np.array([3.0, 4.0, 0.0, 0.0])
+    a = Tensor(np.zeros(4), requires_grad=True)
+    b = Tensor(np.zeros(4), requires_grad=True)
+    other = Tensor(np.zeros(4), requires_grad=True)
+    a.grad = b.grad = other.grad = shared
+    norm = clip_gradients({"a": a, "b": b}, 1.0)
+    assert norm == pytest.approx(np.sqrt(50.0))
+    assert np.array_equal(shared, [3.0, 4.0, 0.0, 0.0])
+    assert other.grad is shared
+    assert np.array_equal(a.grad, shared * (1.0 / norm))
+    assert np.array_equal(b.grad, a.grad)
 
 
 def test_clip_gradients_rejects_non_finite():
