@@ -102,16 +102,20 @@ def _soft_mask(dist: np.ndarray, width: float) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(np.clip(dist / width, -40, 40)))
 
 
-def _grating(s: int, amp: float, fx: float, fy: float, px: float, py: float) -> np.ndarray:
-    """amp * sin(2 pi fx x / s + px) * sin(2 pi fy y / s + py) on the s x s pixel grid.
+def _pixel_axes(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel rows as an (s, 1) column and columns as a (1, s) row.
 
-    The grid is a rank-1 product, so each sine is taken on one (1, s) row or
-    (s, 1) column and broadcast; every pixel is the same floating-point
-    expression as on a full np.mgrid.
+    A term that depends on one axis is evaluated on s values and broadcast;
+    every pixel is the same floating-point expression as on a full np.mgrid.
     """
     v = np.arange(s, dtype=float)
-    return amp * np.sin(2 * np.pi * fx * v[None, :] / s + px) \
-        * np.sin(2 * np.pi * fy * v[:, None] / s + py)
+    return v[:, None], v[None, :]
+
+
+def _grating(s: int, amp: float, fx: float, fy: float, px: float, py: float) -> np.ndarray:
+    """amp * sin(2 pi fx x / s + px) * sin(2 pi fy y / s + py) on the s x s pixel grid."""
+    yy, xx = _pixel_axes(s)
+    return amp * np.sin(2 * np.pi * fx * xx / s + px) * np.sin(2 * np.pi * fy * yy / s + py)
 
 
 def generate(rng: np.random.Generator, spec: PhantomSpec,
@@ -119,7 +123,7 @@ def generate(rng: np.random.Generator, spec: PhantomSpec,
     """Render one phantom; deterministic given the generator state."""
     s = spec.side
     cx = (s - 1) / 2.0
-    yy, xx = np.mgrid[0:s, 0:s].astype(float)
+    yy, xx = _pixel_axes(s)
 
     def jitter():
         dx = rng.uniform(-spec.jitter_translate, spec.jitter_translate) * s
@@ -168,9 +172,7 @@ def generate(rng: np.random.Generator, spec: PhantomSpec,
     dxr, dyr, scr = jitter()
     rib_ys = (np.array([0.32, 0.42, 0.52, 0.62]) * s - lobe_cy) * scr + lobe_cy + dyr
     rib_h = 0.012 * s * scr
-    bars = np.zeros_like(img)
-    for ry in rib_ys:
-        bars += _soft_mask(np.abs(yy - ry) - rib_h, 1.0)
+    bars = sum(_soft_mask(np.abs(yy - ry) - rib_h, 1.0) for ry in rib_ys)
     both_lobes = np.clip(lobe_masks["left"] + lobe_masks["right"], 0.0, 1.0)
     img += 0.18 * level() * bars * both_lobes * texture(5.0, 9.0)
     rib2_y = rib_ys[1]

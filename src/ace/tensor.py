@@ -256,8 +256,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     A 2-d operand is shared by every item of the batch.  Its gradient is a
     stacked product summed over the batch, so each GEMM keeps the size of one
-    item: a folded (B*N) x P product would cross the size at which OpenBLAS
-    starts threads, which costs CPU time without saving wall time.
+    item rather than that of a folded (B*N) x P product.  A few desk-scale
+    products still reach the size at which OpenBLAS starts threads; training
+    runs them on one thread (see `ace.blas`), where a second would only spin.
     """
     _check_batched(a, "matmul")
     _check_batched(b, "matmul")

@@ -3,9 +3,11 @@ batched student and one batched teacher forward pass per step, AdamW with
 warmup/cosine schedules, gradient clipping, EMA teacher updates,
 checkpointing and per-step metrics.
 
-Single-threaded execution is bit deterministic: one RNG drives phantom
-order, crop sampling and augmentation, and its state travels with the
-checkpoint so a resumed run reproduces the uninterrupted metrics stream.
+A run is bit deterministic: one RNG drives phantom order, crop sampling
+and augmentation, and its state travels with the checkpoint so a resumed run
+reproduces the uninterrupted metrics stream.  The loop runs on one OpenBLAS
+thread (see `ace.blas`): a second thread saves no wall time at desk scale,
+and with it the bits would depend on the thread count of the environment.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cropgrid, model, objective
+from . import blas, cropgrid, model, objective
 from . import tensor as tz
 from .config import RunConfig
 from .errors import AceError, ParameterError
@@ -279,6 +281,7 @@ def save_checkpoint(path, state: model.EncoderState, opt: AdamW,
         "rng_state": json.dumps(rng.bit_generator.state),
         "opt_t": opt.t,
         "run_config": asdict(cfg),
+        "blas_threads": blas.pinned_threads(),
     }
     model.save_state(path, state, extra=extra, extra_arrays=opt.state_arrays())
 
@@ -324,9 +327,13 @@ def _check_resumable(cfg: RunConfig, saved: RunConfig, path) -> None:
                        + ", ".join(diffs))
 
 
+@blas.one_thread()
 def train_loop(cfg: RunConfig, manifest_path, out_dir, resume_from=None,
                progress=None) -> Path:
-    """Run pretraining; writes checkpoints and metrics, returns final checkpoint path."""
+    """Run pretraining; writes checkpoints and metrics, returns final checkpoint path.
+
+    The call runs on one OpenBLAS thread and restores the count it found.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = cfg.grid_spec()

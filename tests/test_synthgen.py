@@ -77,6 +77,26 @@ def test_separable_grating_matches_full_grid():
             assert np.array_equal(sg._grating(s, amp, fx, fy, px, py), full)
 
 
+def test_one_axis_terms_match_full_grid(monkeypatch):
+    # generate takes one-axis terms (rib bars on y, clavicle spans on x, the
+    # grating factors) on an (s, 1) column or a (1, s) row; on full np.mgrid
+    # axes every term is (s, s), and every pixel must be the same
+    def full_axes(s):
+        yy, xx = np.mgrid[0:s, 0:s].astype(float)
+        return yy, xx
+
+    for side in (97, 256):
+        for spec in (PhantomSpec(side=side),
+                     PhantomSpec(side=side, jitter_translate=0.08, jitter_scale=0.25)):
+            for seed in range(3):
+                broadcast = generate(np.random.default_rng(seed), spec)
+                with monkeypatch.context() as m:
+                    m.setattr(sg, "_pixel_axes", full_axes)
+                    full = generate(np.random.default_rng(seed), spec)
+                assert np.array_equal(broadcast.image, full.image), (side, seed)
+                assert broadcast.landmarks == full.landmarks
+
+
 def test_intensity_range():
     ph = generate(np.random.default_rng(2), PhantomSpec(side=128))
     assert ph.image.min() >= 0.0 and ph.image.max() <= 1.0

@@ -9,6 +9,7 @@ import ace.model as model
 import ace.objective as obj
 import ace.tensor as tz
 import ace.trainer as tr
+from ace import blas
 from ace.config import RunConfig, apply_overrides
 from ace.cropgrid import extract_and_resize, sample_crop_pair
 from ace.errors import AceError, ParameterError
@@ -286,6 +287,29 @@ def test_checkpoint_carries_rng_and_optimizer(tmp_path):
     # saving again from loaded state is bit-identical
     save_checkpoint(tmp_path / "again.ace", state, opt, rng, cfg_back)
     assert (tmp_path / "again.ace").read_bytes() == ckpt.read_bytes()
+
+
+def test_checkpoint_records_blas_threads_and_old_ones_resume(tmp_path):
+    manifest = _tiny_dataset(tmp_path)
+    train_loop(_tiny_run_cfg(epochs=2), manifest, tmp_path / "full")
+    full = (tmp_path / "full" / "metrics.jsonl").read_bytes()
+    part = tmp_path / "part"
+
+    def interrupt(epoch, state):
+        if epoch == 0:
+            raise _Interrupt
+
+    with pytest.raises(_Interrupt):
+        train_loop(_tiny_run_cfg(epochs=2), manifest, part, progress=interrupt)
+    ckpt = part / "checkpoint.ace"
+    state, extra, extra_arrays = model.load_state(ckpt)
+    assert extra["blas_threads"] == (1 if blas.thread_functions() else None)
+    # a checkpoint written before the key existed loads and resumes exactly
+    del extra["blas_threads"]
+    model.save_state(ckpt, state, extra=extra, extra_arrays=extra_arrays)
+    assert "blas_threads" not in model.load_state(ckpt)[1]
+    train_loop(_tiny_run_cfg(epochs=2), manifest, part, resume_from=ckpt)
+    assert (part / "metrics.jsonl").read_bytes() == full
 
 
 def test_loss_decreases_on_tiny_run(tmp_path):
