@@ -53,7 +53,8 @@ def _tiny(tmp_path):
 
 def test_desk_step_bits_do_not_depend_on_blas_threads(tmp_path):
     # one desk-default step crosses OpenBLAS's threading size in the decompose
-    # head and the z_dec logits; the stream must not change with the count
+    # head and the z_dec logits; the stream and the checkpoint must not change
+    # with the count
     cfg = apply_overrides(RunConfig(), ["phantom_count=8", "epochs=1", "warmup_epochs=0"])
     manifest = generate_dataset(tmp_path / "ds", cfg.phantom_count, cfg.phantom_spec(),
                                 master_seed=0)
@@ -74,8 +75,10 @@ def test_desk_step_bits_do_not_depend_on_blas_threads(tmp_path):
                                "phantom_count=8", "epochs=1", "warmup_epochs=0"],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        streams.append((out / tr.METRICS_NAME).read_bytes())
-    assert streams[0] == streams[1]
+        streams.append(((out / tr.METRICS_NAME).read_bytes(),
+                        (out / tr.CHECKPOINT_NAME).read_bytes()))
+    assert streams[0][0] == streams[1][0]
+    assert streams[0][1] == streams[1][1]
 
 
 def test_train_loop_runs_on_one_thread_and_restores_the_count(tmp_path, monkeypatch,
