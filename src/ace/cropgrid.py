@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AlignmentError, GeometryError, IndexRangeError,
-                     ParameterError, ShapeError)
+from .errors import AlignmentError, GeometryError, ParameterError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -145,36 +144,3 @@ def extract_and_resize(image: np.ndarray, anchor: tuple[int, int],
             f"crop at grid ({x}, {y}) side {side_in_patches} exceeds image {image.shape}")
     crop = image[py:py + size, px:px + size]
     return np.clip(resize(crop, spec.H0), 0.0, 1.0)
-
-
-def pool_mask(O1: np.ndarray) -> np.ndarray:
-    """2x2 max-pool; a composed cell is in-overlap iff any constituent is."""
-    t = O1.shape[0]
-    if O1.ndim != 2 or O1.shape[0] != O1.shape[1] or t % 2 != 0:
-        raise ShapeError(f"pool_mask: expected an even square mask, got {O1.shape}")
-    return O1.reshape(t // 2, 2, t // 2, 2).max(axis=(1, 3))
-
-
-def upsample_mask(O2: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor 2x replication: each cell becomes a 2x2 block."""
-    if O2.ndim != 2:
-        raise ShapeError(f"upsample_mask: expected a 2-d mask, got {O2.shape}")
-    return np.repeat(np.repeat(O2, 2, axis=0), 2, axis=1)
-
-
-def token_to_grid(spec: GridSpec, crop_role: str, anchor: tuple[int, int],
-                  token: tuple[int, int]) -> tuple[tuple[int, int], int]:
-    """Map a crop token (row, col) to its grid-patch footprint.
-
-    Returns ((x, y) of the top-left grid patch, extent): extent 1 for a C1
-    token, 2 for a C2 token.
-    """
-    r, c = token
-    if not 0 <= r < spec.T or not 0 <= c < spec.T:
-        raise IndexRangeError(f"token {token} outside {spec.T}x{spec.T} token grid")
-    ax, ay = anchor
-    if crop_role == "C1":
-        return (ax + c, ay + r), 1
-    if crop_role == "C2":
-        return (ax + 2 * c, ay + 2 * r), 2
-    raise ParameterError(f"crop_role must be 'C1' or 'C2', got {crop_role!r}")

@@ -29,10 +29,6 @@ class AlignmentError(GeometryError):
     """Crop anchors are not aligned to the even-offset lattice."""
 
 
-class IndexRangeError(AceError, IndexError):
-    """A token or grid index is out of range."""
-
-
 class FormatError(AceError, ValueError):
     """A file on disk is malformed."""
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as tz
 from .cropgrid import CropPair, GridSpec
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .tensor import Tensor
 
 CENTER_RATE = 0.9
@@ -115,35 +115,6 @@ def matching_logits(y_teacher: Tensor, y_student_head: Tensor) -> Tensor:
         raise ShapeError(
             f"matching: embedding dims differ, {y_teacher.data.shape} vs {y_student_head.data.shape}")
     return tz.matmul(y_teacher, tz.transpose(y_student_head))
-
-
-def matching_matrix(y_teacher: Tensor, y_student_head: Tensor) -> Tensor:
-    """sigmoid of the teacher-by-student inner products, entries in (0, 1)."""
-    return tz.sigmoid(matching_logits(y_teacher, y_student_head))
-
-
-def matching_loss(m: Tensor, target: MatchTarget, alpha: float,
-                  positive_only: bool = False) -> Tensor:
-    """Weighted binary matching loss on an explicit probability matrix.
-
-    L = -mean over rows of sum_cols[ alpha*T*log M + (1-alpha)*(1-T)*log(1-M) ].
-    The positive-only variant drops the second term (it then exerts no
-    downward force on unpaired entries).
-    """
-    t = target.matrix
-    if m.data.shape != t.shape:
-        raise ShapeError(f"matching_loss: matrix {m.data.shape} vs target {t.shape}")
-    if np.any(m.data <= 0.0) or np.any(m.data >= 1.0):
-        raise DomainError("matching_loss: matrix entries must lie strictly in (0, 1)")
-    rows = t.shape[0]
-    pos = tz.mul(Tensor(alpha * t), tz.log(m))
-    if positive_only:
-        total = pos
-    else:
-        one_minus = tz.sub(Tensor(np.ones_like(m.data)), m)
-        neg = tz.mul(Tensor((1.0 - alpha) * (1.0 - t)), tz.log(one_minus))
-        total = tz.add(pos, neg)
-    return tz.scale(tz.tensor_sum(total), -1.0 / rows)
 
 
 def matching_loss_logits(z: Tensor, target: MatchTarget, alpha: float,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .cropgrid import resize
-from .errors import GeometryError, ParameterError
+from .errors import ParameterError
 from .model import EncoderState, encode_batch
 from .synthgen import MIRROR_PAIRS, Phantom
 
@@ -61,17 +61,6 @@ def embed_crops(state: EncoderState, crops: np.ndarray) -> np.ndarray:
         resized = resize(chunk, cfg.H0)
         feats.append(encode_batch(cfg, params, resized).mean(axis=1))
     return np.concatenate(feats, axis=0)
-
-
-def embed_region(state: EncoderState, image: np.ndarray, rect) -> np.ndarray:
-    """Embed one rectangular region (x, y, w, h) of an image."""
-    x, y, w, h = rect
-    if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > image.shape[1] or y + h > image.shape[0]:
-        raise GeometryError(f"degenerate or out-of-bounds rect {rect} for image {image.shape}")
-    crop = image[y:y + h, x:x + w]
-    side = min(w, h)
-    crop = crop[:side, :side] if w != h else crop
-    return embed_crops(state, crop[None])[0]
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -127,39 +127,15 @@ def backward(loss: Tensor) -> None:
 # primitive ops
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
 
     def bw(g):
         _accum(a, g)
         _accum(b, g)
 
     return _record(a.data + b.data, (a, b), bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _record(a.data - b.data, (a, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-
-    def bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _record(a.data * b.data, (a, b), bw)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -169,37 +145,6 @@ def scale(a: Tensor, s: float) -> Tensor:
         _accum(a, g * s)
 
     return _record(a.data * s, (a,), bw)
-
-
-def shift(a: Tensor, c: float) -> Tensor:
-    """Add a scalar constant (the scalar-broadcast companion of scale)."""
-    c = float(c)
-
-    def bw(g):
-        _accum(a, g)
-
-    return _record(a.data + c, (a,), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def bw(g):
-        _accum(a, g * out)
-
-    return _record(out, (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(a.data <= 0)),
-                                                     a.data.shape))
-        raise DomainError(f"log: non-positive value at index {idx}")
-
-    def bw(g):
-        _accum(a, g / a.data)
-
-    return _record(np.log(a.data), (a,), bw)
 
 
 def _sigmoid_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,15 +158,6 @@ def _sigmoid_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.maximum(e, x >= 0)
     s /= 1.0 + e
     return e, s
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    _, out = _sigmoid_parts(a.data)
-
-    def bw(g):
-        _accum(a, g * out * (1.0 - out))
-
-    return _record(out, (a,), bw)
 
 
 def silu(a: Tensor) -> Tensor:
@@ -414,39 +350,6 @@ def row_norm(a: Tensor) -> Tensor:
     return _record(y, (a,), bw)
 
 
-def tensor_sum(a: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, np.full_like(a.data, float(g)))
-
-    return _record(np.asarray(a.data.sum()), (a,), bw)
-
-
-def tensor_mean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def bw(g):
-        _accum(a, np.full_like(a.data, float(g) / n))
-
-    return _record(np.asarray(a.data.mean()), (a,), bw)
-
-
-def softmax_with_temperature(x: Tensor, tau: float) -> Tensor:
-    """Temperature softmax over a 1-d tensor, computed with max-subtraction."""
-    if tau <= 0:
-        raise ParameterError(f"softmax temperature must be positive, got {tau}")
-    if x.data.ndim != 1:
-        raise ShapeError(f"softmax_with_temperature: expected 1-d input, got {x.data.shape}")
-    z = x.data / tau
-    z = z - z.max()
-    e = np.exp(z)
-    p = e / e.sum()
-
-    def bw(g):
-        _accum(x, (p * (g - np.dot(g, p))) / tau)
-
-    return _record(p, (x,), bw)
-
-
 def masked_mean_pool(tokens: Tensor, mask) -> Tensor:
     """Mean over the rows selected by a binary mask.
 
@@ -471,26 +374,6 @@ def masked_mean_pool(tokens: Tensor, mask) -> Tensor:
             _accum(tokens, np.where(keep, (g / count)[..., None, :], 0.0))
 
     return _record(np.where(keep, x, 0.0).sum(axis=-2) / count, (tokens,), bw)
-
-
-def cross_entropy(p: Tensor, q: Tensor) -> Tensor:
-    """-sum(p * log q); the target p is treated as a constant."""
-    _check_same_shape(p, q, "cross_entropy")
-    if np.any(p.data < 0):
-        raise DomainError("cross_entropy: target has negative entries")
-    bad = (q.data <= 0) & (p.data > 0)
-    if np.any(bad):
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), q.data.shape))
-        raise DomainError(f"cross_entropy: non-positive prediction at index {idx} with positive target")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p.data > 0, p.data * np.log(np.maximum(q.data, 1e-300)), 0.0)
-    out = -terms.sum()
-
-    def bw(g):
-        gq = np.where(p.data > 0, -p.data / q.data, 0.0)
-        _accum(q, float(g) * gq)
-
-    return _record(np.asarray(out), (p, q), bw)
 
 
 def cross_entropy_with_logits(p: np.ndarray, z: Tensor, tau: float) -> Tensor:

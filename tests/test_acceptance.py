@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+import ace.gradcases as gradcases
 import ace.model as model
 import ace.objective as obj
 import ace.probes as pb
@@ -30,7 +31,7 @@ from ace.config import RunConfig, apply_overrides
 from ace.cropgrid import GridSpec, compute_overlap, CropPair, sample_crop_pair
 from ace.pixelcheck import verify_geometry
 from ace.synthgen import PhantomSpec, build_manifest, generate, generate_dataset, load_manifest
-from ace.tensor import Tape, Tensor, backward, grad_check
+from ace.tensor import Tape, Tensor, backward
 from ace.trainer import train_loop, load_checkpoint
 
 DESK = GridSpec(G=16, m=16, c1=8, c2=16, H0=64)
@@ -41,156 +42,16 @@ PAPER = GridSpec(G=32, m=32, c1=14, c2=28, H0=448)
 # 1. gradient correctness: every primitive plus the full training loss graph
 
 
-def _primitive_cases(rng):
-    """(name, scalar-valued f, input array) for every differentiable primitive,
-    with a batched (3-d) case for each primitive that takes a leading batch axis."""
-    a = rng.normal(size=(4, 8))
-    vec = rng.normal(size=6)
-    pos = rng.random((4, 8)) + 0.5
-    simplex = np.exp(rng.normal(size=6))
-    simplex /= simplex.sum()
-    b = rng.normal(size=(4, 8))
-    w = rng.normal(size=(8, 3))
-    v = rng.normal(size=8)
-    mask = (rng.random(4) < 0.5).astype(float)
-    mask[rng.integers(0, 4)] = 1.0  # never empty
-    target = (rng.random((4, 8)) < 0.3) * rng.random((4, 8))
-    # batched operands: 3 items of the 2-d shapes above
-    a3 = rng.normal(size=(3, 4, 8))
-    b3 = rng.normal(size=(3, 4, 8))
-    w3 = rng.normal(size=(3, 8, 2))
-    c3 = rng.normal(size=(3, 4, 3))
-    sq = rng.normal(size=(4, 4))
-    mask3 = (rng.random((3, 4)) < 0.5).astype(float)
-    mask3[np.arange(3), rng.integers(0, 4, size=3)] = 1.0  # no item empty
-    simplex3 = np.exp(rng.normal(size=(3, 8)))
-    simplex3 /= simplex3.sum(axis=1, keepdims=True)
-    target3 = (rng.random((3, 4, 8)) < 0.3) * rng.random((3, 4, 8))
-    mean = tz.tensor_mean
-    return [
-        ("add", lambda t: mean(tz.add(t, Tensor(b))), a),
-        ("sub", lambda t: mean(tz.sub(t, Tensor(b))), a),
-        ("mul", lambda t: mean(tz.mul(t, Tensor(b))), a),
-        ("scale", lambda t: mean(tz.scale(t, -1.7)), a),
-        ("shift", lambda t: mean(tz.shift(t, 0.3)), a),
-        ("exp", lambda t: mean(tz.exp(t)), a),
-        ("log", lambda t: mean(tz.log(t)), pos),
-        ("sigmoid", lambda t: mean(tz.sigmoid(t)), a),
-        ("silu", lambda t: mean(tz.silu(t)), a),
-        ("matmul", lambda t: mean(tz.matmul(t, Tensor(w))), a),
-        ("transpose", lambda t: mean(tz.mul(tz.transpose(t), Tensor(b.T))), a),
-        ("reshape", lambda t: mean(tz.reshape(t, (8, 4))), a),
-        ("take_rows", lambda t: mean(tz.take_rows(t, np.array([2, 0, 2]))), a),
-        ("add_rowvec", lambda t: mean(tz.add_rowvec(t, Tensor(v))), a),
-        ("mul_rowvec", lambda t: mean(tz.mul_rowvec(t, Tensor(v))), a),
-        ("row_norm", lambda t: mean(tz.row_norm(t)), a),
-        ("tensor_sum", lambda t: tz.tensor_sum(tz.sigmoid(t)), a),
-        ("tensor_mean", lambda t: tz.tensor_mean(t), a),
-        ("softmax", lambda t: mean(tz.mul(tz.softmax_with_temperature(t, 0.2),
-                                          Tensor(vec * 0 + 1.3))), vec),
-        ("masked_mean_pool", lambda t: mean(tz.masked_mean_pool(t, mask)), a),
-        ("cross_entropy", lambda t: tz.cross_entropy(
-            Tensor(simplex), tz.softmax_with_temperature(t, 0.5)), vec),
-        ("cross_entropy_with_logits", lambda t: tz.cross_entropy_with_logits(
-            simplex, t, 0.5), vec),
-        ("match_loss_two_sided", lambda t: tz.weighted_match_loss_logits(
-            t, target, 0.9), a),
-        ("match_loss_positive_only", lambda t: tz.weighted_match_loss_logits(
-            t, target, 0.9, positive_only=True), a),
-        # batched forms
-        ("matmul_batch_shared_right", lambda t: mean(tz.matmul(t, Tensor(w))), a3),
-        ("matmul_shared_left", lambda t: mean(tz.matmul(t, Tensor(a3))), sq),
-        ("matmul_shared_right", lambda t: mean(tz.mul(tz.matmul(Tensor(a3), t),
-                                                      Tensor(c3))), w),
-        ("matmul_batch_both", lambda t: mean(tz.matmul(t, Tensor(w3))), a3),
-        ("linear", lambda t: mean(tz.mul(tz.linear(t, Tensor(w), Tensor(v[:3])),
-                                         Tensor(c3[0]))), a),
-        ("linear_batch", lambda t: mean(tz.mul(tz.linear(t, Tensor(w), Tensor(v[:3])),
-                                               Tensor(c3))), a3),
-        ("linear_batch_weight", lambda t: mean(tz.mul(tz.linear(Tensor(a3), t, Tensor(v[:3])),
-                                                      Tensor(c3))), w),
-        ("linear_batch_bias", lambda t: mean(tz.mul(tz.linear(Tensor(a3), Tensor(w), t),
-                                                    Tensor(c3))), v[:3]),
-        ("transpose_batch", lambda t: mean(tz.mul(tz.transpose(t),
-                                                  Tensor(b3.swapaxes(1, 2)))), a3),
-        ("slice_batch", lambda t: mean(tz.mul(tz.slice_batch(t, 1, 3), Tensor(b3[1:]))), a3),
-        ("take_rows_batch", lambda t: mean(tz.mul(tz.take_rows(t, np.array([2, 0, 2])),
-                                                  Tensor(b3[:, :3]))), a3),
-        ("add_rowvec_batch", lambda t: mean(tz.mul(tz.add_rowvec(Tensor(a3), t),
-                                                   Tensor(b3))), v),
-        ("mul_rowvec_batch", lambda t: mean(tz.mul_rowvec(t, Tensor(v))), a3),
-        ("mul_rowvec_batch_v", lambda t: mean(tz.mul_rowvec(Tensor(a3), t)), v),
-        ("row_norm_batch", lambda t: mean(tz.mul(tz.row_norm(t), Tensor(b3))), a3),
-        ("masked_mean_pool_batch", lambda t: mean(tz.mul(tz.masked_mean_pool(t, mask3),
-                                                         Tensor(b3[:, 0]))), a3),
-        ("cross_entropy_with_logits_rows", lambda t: tz.cross_entropy_with_logits(
-            simplex3, t, 0.5), a3[:, 0]),
-        ("match_loss_batch_two_sided", lambda t: tz.weighted_match_loss_logits(
-            t, target3, 0.9), a3),
-        ("match_loss_batch_positive_only", lambda t: tz.weighted_match_loss_logits(
-            t, target3, 0.9, positive_only=True), a3),
-    ]
-
-
-def _toy_cfg():
-    cfg = RunConfig()
-    return apply_overrides(cfg, [
-        "phantom_side=64", "grid_patches=8", "patch_pixels=8",
-        "crop1_patches=4", "crop2_patches=8", "resize_side=16",
-        "embed_dim=8", "encoder_depth=1", "encoder_hidden=16",
-        "aug_brightness=0", "aug_contrast=0", "aug_noise=0", "aug_blur=0"])
-
-
-def _toy_total_loss(state, batch, cfg, spec):
-    lg, lc, ld, _ = tr._batch_losses(state, batch, cfg, spec, np.random.default_rng(0))
-    total, _ = obj.total_loss(lg, lc, ld, lambda1=cfg.lambda_global,
-                              lambda2=cfg.lambda_comp, lambda3=cfg.lambda_decomp)
-    return total
-
-
 def test_gradients_every_primitive_and_full_loss_graph():
+    """Every case of the shared table (every production primitive with its
+    batched forms, full-coordinate central differences, then the full loss
+    graph at sampled parameters) at 100 seeds."""
     t0 = time.monotonic()
-    worst = 0.0
-    cfg = _toy_cfg()
-    spec = cfg.grid_spec()
     for seed in range(100):
-        rng = np.random.default_rng(seed)
-        # every primitive op, full-coordinate central differences
-        for name, f, x in _primitive_cases(rng):
-            err = grad_check(f, Tensor(x))
-            assert err < 1e-4, f"seed {seed} op {name}: rel err {err:.3e}"
-            worst = max(worst, err)
-        # the full combined loss graph, end to end through the encoder, on a
-        # batch of two crop pairs, probed at sampled parameter coordinates
-        state = model.init(cfg.encoder_config(), rng)
-        batch = [(rng.random((spec.side, spec.side)), sample_crop_pair(rng, spec))
-                 for _ in range(2)]
-        with Tape():
-            loss = _toy_total_loss(state, batch, cfg, spec)
-            backward(loss)
-        names = sorted(state.student)
-        for _ in range(3):
-            pname = names[rng.integers(0, len(names))]
-            param = state.student[pname]
-            idx = np.unravel_index(rng.integers(0, param.data.size),
-                                   param.data.shape)
-            analytic = 0.0 if param.grad is None else float(param.grad[idx])
-            eps = 1e-6
-            keep = param.data[idx]
-            param.data[idx] = keep + eps
-            fp = _toy_total_loss(state, batch, cfg, spec).item()
-            param.data[idx] = keep - eps
-            fm = _toy_total_loss(state, batch, cfg, spec).item()
-            param.data[idx] = keep
-            numeric = (fp - fm) / (2 * eps)
-            err = abs(analytic - numeric) / max(1.0, abs(analytic))
-            assert err < 1e-4, f"seed {seed} {pname}{idx}: rel err {err:.3e}"
-            worst = max(worst, err)
-        for p in state.student.values():
-            p.grad = None
+        for name, err in gradcases.errors(seed):
+            assert err < 1e-4, f"seed {seed} {name}: rel err {err:.3e}"
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"gradient gate took {elapsed:.1f}s"
-    assert worst < 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import ace.tensor as tz
 from ace.cli import main
 from ace.model import read_blob_file, write_blob_file
 from ace.synthgen import load_manifest
@@ -67,6 +68,27 @@ def test_probe_commands_write_reports(workspace, tmp_path):
 
 def test_gradcheck_command():
     assert main(["gradcheck", "--trials", "2"]) == 0
+
+
+def test_gradcheck_catches_a_wrong_production_backward(capsys, monkeypatch):
+    """The command runs the gate's case table, so a 1% error in the backward
+    of a primitive that only training calls fails it, by name."""
+    monkeypatch.setenv("ACE_LOG", "1")
+    real = tz.row_norm
+
+    def skewed(a):
+        out = real(a)
+        tape = tz._active_tape()
+        if out.requires_grad:
+            node, parents, bw = tape._nodes[-1]
+            tape._nodes[-1] = (node, parents, lambda g: bw(1.01 * g))
+        return out
+
+    monkeypatch.setattr(tz, "row_norm", skewed)
+    assert main(["gradcheck", "--trials", "1"]) == 1
+    summary = capsys.readouterr().err.strip().splitlines()[-1]
+    assert re.fullmatch(r"gradcheck: 1 trials, worst relative error \S+ "
+                        r"\(row_norm(_batch)?, seed 0\), FAIL", summary), summary
 
 
 def test_geom_verify_command(tmp_path, capsys, monkeypatch):

@@ -79,3 +79,30 @@ def test_every_run_config_key_is_read():
                 read.add(node.attr)
     unread = [f.name for f in fields(RunConfig) if f.name not in read]
     assert not unread, f"RunConfig keys never read: {unread}"
+
+
+def test_every_src_definition_is_called():
+    """A top-level function or class that nothing in the package names is
+    dead code, unless the package exports it."""
+    defined, named = set(), set()
+    for path in Path(ace.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # sibling modules bound by `from . import x [as y]`
+        modules = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module is None for a in node.names}
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in modules):
+                    names.add(node.attr)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.name, stmt.name))
+                names.discard(stmt.name)  # its own body does not count
+            named |= names
+    unused = sorted(f"{module}:{name}" for module, name in defined
+                    if name not in named and name not in ace.__all__)
+    assert not unused, f"definitions nothing calls: {unused}"

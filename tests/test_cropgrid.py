@@ -1,5 +1,6 @@
-"""Crop geometry against the independent pixel-rectangle oracle, plus the
-resize and mask helpers against hand-built references."""
+"""Crop geometry against the independent pixel-rectangle oracle, resize
+against hand-built references, and the overlap masks and token footprints
+against the plain-numpy forms in `reference`."""
 
 import os
 import subprocess
@@ -9,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
+
 import ace
 from ace.cropgrid import (CropPair, GridSpec, compute_overlap, extract_and_resize,
-                          pool_mask, resize, sample_crop_pair, token_to_grid,
-                          upsample_mask)
-from ace.errors import (AlignmentError, GeometryError, IndexRangeError,
-                        ParameterError, ShapeError)
-from ace.pixelcheck import overlap_via_pixels, verify_geometry
+                          resize, sample_crop_pair)
+from ace.errors import AlignmentError, GeometryError, ParameterError, ShapeError
+from ace.objective import build_target
+from ace.pixelcheck import _token_rects, overlap_via_pixels, verify_geometry
 
 
 def test_spec_validation():
@@ -168,26 +170,38 @@ def test_extract_and_resize(desk_spec):
         extract_and_resize(img, (12, 0), desk_spec.c1, desk_spec)
 
 
-def test_mask_pool_and_upsample():
+def test_mask_pool_and_upsample(desk_spec):
     m = np.zeros((4, 4), dtype=np.int8)
     m[1, 2] = 1
-    pooled = pool_mask(m)
+    pooled = reference.pool_mask(m)
     assert pooled.shape == (2, 2)
     assert pooled[0, 1] == 1 and pooled.sum() == 1
-    up = upsample_mask(pooled)
+    up = reference.upsample_mask(pooled)
     assert up.shape == (4, 4)
     assert np.all(up[0:2, 2:4] == 1) and up.sum() == 4
+    # the matching targets are supported on exactly the overlap masks: rows
+    # on the teacher crop's mask, columns on the other crop's mask pooled to
+    # composed cells or upsampled to sub-cells
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        pair = sample_crop_pair(rng, desk_spec)
+        comp = build_target(pair, desk_spec, "composition").matrix
+        dec = build_target(pair, desk_spec, "decomposition").matrix
+        for matrix, rows, cols in ((comp, pair.O2, reference.pool_mask(pair.O1)),
+                                   (dec, pair.O1, reference.upsample_mask(pair.O2))):
+            assert np.array_equal(matrix.any(axis=1), rows.reshape(-1) > 0)
+            assert np.array_equal(matrix.any(axis=0), cols.reshape(-1) > 0)
 
 
 def test_token_to_grid(desk_spec):
-    (x, y), ext = token_to_grid(desk_spec, "C1", (3, 2), (1, 4))
-    assert (x, y) == (3 + 4, 2 + 1) and ext == 1
-    (x, y), ext = token_to_grid(desk_spec, "C2", (0, 0), (2, 3))
-    assert (x, y) == (6, 4) and ext == 2
-    with pytest.raises(IndexRangeError):
-        token_to_grid(desk_spec, "C1", (0, 0), (8, 0))
-    with pytest.raises(ParameterError):
-        token_to_grid(desk_spec, "C3", (0, 0), (0, 0))
+    assert reference.token_to_grid("C1", (3, 2), (1, 4)) == ((3 + 4, 2 + 1), 1)
+    assert reference.token_to_grid("C2", (0, 0), (2, 3)) == ((6, 4), 2)
+    # every footprint is the pixel oracle's token rectangle, in grid patches
+    t, m = desk_spec.T, desk_spec.m
+    for role, anchor in (("C1", (3, 2)), ("C2", (0, 4))):
+        for i, rect in enumerate(_token_rects(anchor, m, t, 1 if role == "C1" else 2)):
+            (x, y), ext = reference.token_to_grid(role, anchor, (i // t, i % t))
+            assert tuple(rect) == (x * m, y * m, (x + ext) * m, (y + ext) * m)
 
 
 def test_crop_pair_token_footprints_agree(desk_spec):
@@ -197,12 +211,12 @@ def test_crop_pair_token_footprints_agree(desk_spec):
     for _ in range(20):
         pair = sample_crop_pair(rng, desk_spec)
         for i, flat2 in enumerate(pair.idx2):
-            (gx2, gy2), ext = token_to_grid(desk_spec, "C2", pair.anchor2,
-                                            (flat2 // t, flat2 % t))
+            (gx2, gy2), ext = reference.token_to_grid("C2", pair.anchor2,
+                                                      (flat2 // t, flat2 % t))
             covered2 = {(gx2 + dx, gy2 + dy) for dx in range(ext) for dy in range(ext)}
             covered1 = set()
             for flat1 in pair.idx1[4 * i:4 * i + 4]:
-                (gx1, gy1), _ = token_to_grid(desk_spec, "C1", pair.anchor1,
-                                              (flat1 // t, flat1 % t))
+                (gx1, gy1), _ = reference.token_to_grid("C1", pair.anchor1,
+                                                        (flat1 // t, flat1 % t))
                 covered1.add((gx1, gy1))
             assert covered1 == covered2

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import reference
+
 import ace.objective as obj
 import ace.tensor as tz
 from ace.cropgrid import compute_overlap, CropPair, GridSpec, sample_crop_pair
-from ace.errors import DomainError, ParameterError, ShapeError
+from ace.errors import ParameterError, ShapeError
 from ace.tensor import Tape, Tensor, backward, grad_check
 
 
@@ -121,51 +123,47 @@ def test_matching_matrix_range_and_shape():
     rng = np.random.default_rng(1)
     yt = Tensor(rng.normal(size=(6, 4)))
     ys = Tensor(rng.normal(size=(3, 4)))
-    m = obj.matching_matrix(yt, ys)
-    assert m.data.shape == (6, 3)
-    assert np.all((m.data > 0) & (m.data < 1))
-    assert np.allclose(m.data, 1 / (1 + np.exp(-(yt.data @ ys.data.T))))
+    z = obj.matching_logits(yt, ys).data
+    assert z.shape == (6, 3)
+    assert np.allclose(z, yt.data @ ys.data.T)
+    m = 1 / (1 + np.exp(-z))  # the matching matrix the logits stand for
+    assert np.all((m > 0) & (m < 1))
     with pytest.raises(ShapeError):
         obj.matching_logits(Tensor(rng.normal(size=(6, 4))),
                             Tensor(rng.normal(size=(3, 5))))
 
 
 def test_matching_loss_hand_value():
-    # 1x2 case evaluated by hand with plain floats
+    # 1x2 case evaluated by hand with plain floats, at the logits of M
     m = np.array([[0.7, 0.2]])
     t = np.array([[1.0, 0.0]])
     alpha = 0.9
     target = obj.MatchTarget(matrix=t, kernel_size=3, sigma=1.0, role="composition")
-    got = obj.matching_loss(Tensor(m), target, alpha).item()
+    z = Tensor(np.log(m / (1 - m)))
+    got = obj.matching_loss_logits(z, target, alpha).item()
     expect = -(alpha * math.log(0.7) + (1 - alpha) * math.log(1 - 0.2))
     assert np.isclose(got, expect, rtol=1e-12)
-    got_pos = obj.matching_loss(Tensor(m), target, alpha, positive_only=True).item()
+    got_pos = obj.matching_loss_logits(z, target, alpha, positive_only=True).item()
     assert np.isclose(got_pos, -alpha * math.log(0.7), rtol=1e-12)
 
 
-def test_matching_loss_out_of_range_raises():
-    t = obj.MatchTarget(matrix=np.zeros((1, 2)), kernel_size=3, sigma=1.0, role="x")
-    with pytest.raises(DomainError):
-        obj.matching_loss(Tensor(np.array([[0.5, 1.0]])), t, 0.9)
-
-
 def test_fused_loss_matches_composed_values_and_grads():
+    """The logits form equals the probability-form loss at M = sigmoid(z),
+    and its gradient matches central differences of itself."""
     rng = np.random.default_rng(2)
-    z0 = rng.normal(size=(4, 5))
-    tmat = (rng.random((4, 5)) < 0.3) * rng.random((4, 5))
-    target = obj.MatchTarget(matrix=tmat, kernel_size=3, sigma=1.0, role="x")
-    for positive_only in (False, True):
-        with Tape():
-            z = Tensor(z0, requires_grad=True)
-            l1 = obj.matching_loss_logits(z, target, 0.9, positive_only=positive_only)
-            backward(l1)
-        g_fused = z.grad.copy()
-        with Tape():
-            z = Tensor(z0, requires_grad=True)
-            l2 = obj.matching_loss(tz.sigmoid(z), target, 0.9, positive_only=positive_only)
-            backward(l2)
-        assert np.isclose(l1.item(), l2.item(), rtol=1e-10)
-        assert np.allclose(g_fused, z.grad, atol=1e-10)
+    for shape in ((4, 5), (3, 4, 5)):
+        z0 = rng.normal(scale=3.0, size=shape)
+        tmat = (rng.random(shape) < 0.3) * rng.random(shape)
+        target = obj.MatchTarget(matrix=tmat, kernel_size=3, sigma=1.0, role="x")
+        for positive_only in (False, True):
+            fused = obj.matching_loss_logits(Tensor(z0), target, 0.9,
+                                             positive_only=positive_only).item()
+            expect = reference.matching_loss(1 / (1 + np.exp(-z0)), tmat, 0.9,
+                                             positive_only=positive_only)
+            assert np.isclose(fused, expect, rtol=1e-10)
+            err = grad_check(lambda t: obj.matching_loss_logits(
+                t, target, 0.9, positive_only=positive_only), Tensor(z0))
+            assert err < 1e-4
 
 
 def test_teacher_distribution_properties():

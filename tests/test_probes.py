@@ -7,7 +7,7 @@ import pytest
 
 import ace.probes as pb
 from ace.cropgrid import resize
-from ace.errors import GeometryError, ParameterError
+from ace.errors import ParameterError
 from ace.model import EncoderConfig, init
 from ace.synthgen import PhantomSpec, generate, instance_rng
 
@@ -56,16 +56,6 @@ def test_embed_crops_shape_and_determinism(probe_state, probe_phantoms):
     b = pb.embed_crops(probe_state, crops)
     assert a.shape == (4, probe_state.config.K)
     assert np.array_equal(a, b)
-
-
-def test_embed_region_validates_rect(probe_state, probe_phantoms):
-    img = probe_phantoms[0].image
-    feat = pb.embed_region(probe_state, img, (10, 10, 50, 50))
-    assert feat.shape == (probe_state.config.K,)
-    with pytest.raises(GeometryError):
-        pb.embed_region(probe_state, img, (100, 100, 50, 50))
-    with pytest.raises(GeometryError):
-        pb.embed_region(probe_state, img, (0, 0, 0, 10))
 
 
 def test_compositionality_probe_mechanics(probe_state, probe_phantoms):
