@@ -1,13 +1,14 @@
 """Autodiff engine: forward values against numpy, gradients against finite
 differences, domain errors, and tape bookkeeping.  The per-primitive
-gradient cases live in `ace.gradcases`, run by the tier-1 gradient gate."""
+gradient cases live in `ace.gradcases`, run at 100 seeds by the tier-1
+gradient gate; `test_gradients_per_op` runs a subset of them one by one."""
 
 import numpy as np
 import pytest
 
 import ace.tensor as tz
 from ace.errors import EmptyOverlapError, ParameterError, ShapeError
-from ace.gradcases import weigh
+from ace.gradcases import primitive_cases, weigh
 from ace.tensor import Tape, Tensor, backward, grad_check
 
 RNG = np.random.default_rng(42)
@@ -85,6 +86,36 @@ def test_fused_ce_matches_composed():
     q = np.exp(z / 0.5 - (z / 0.5).max())
     q /= q.sum()
     assert np.isclose(fused, -(p * np.log(q)).sum(), rtol=1e-12)
+
+
+# Test id -> `ace.gradcases` case; the ids are those of the per-op table
+# these cases were folded from, so a failure keeps its historical name.
+_PER_OP = {
+    "add-<lambda>-shape0": "add",
+    "scale-<lambda>-shape3": "scale",
+    "silu-<lambda>-shape7": "silu",
+    "matmul_a-<lambda>-shape8": "matmul",
+    "matmul_b-<lambda>-shape9": "matmul_const_left",
+    "transpose-<lambda>-shape10": "transpose",
+    "reshape-<lambda>-shape11": "reshape",
+    "take_rows-<lambda>-shape12": "take_rows_repeat",
+    "add_rowvec-<lambda>-shape13": "add_rowvec_batch",
+    "mul_rowvec_m-<lambda>-shape14": "mul_rowvec",
+    "mul_rowvec_v-<lambda>-shape15": "mul_rowvec_batch_v",
+    "row_norm-<lambda>-shape16": "row_norm",
+    "pool-<lambda>-shape19": "masked_mean_pool",
+    "take_rows_perm-<lambda>-shape20": "take_rows_perm",
+    "take_rows_perm_batch-<lambda>-shape21": "take_rows_perm_batch",
+}
+
+
+@pytest.mark.parametrize("case", list(_PER_OP.values()), ids=list(_PER_OP))
+def test_gradients_per_op(case):
+    rng = np.random.default_rng(0)
+    op, x = next((op, x) for name, op, x in primitive_cases(rng) if name == case)
+    w = rng.normal(size=op(Tensor(x)).size)
+    err = grad_check(lambda t: weigh(op(t), w), Tensor(x))
+    assert err < TOL, f"{case}: relative error {err}"
 
 
 # ---------------------------------------------------------------------------
