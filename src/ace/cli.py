@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -28,8 +27,7 @@ PROBE_NAMES = ("compositionality", "decompositionality", "retrieval",
 
 
 def _log(msg: str) -> None:
-    if os.environ.get("ACE_LOG", "1") != "0":
-        print(msg, file=sys.stderr)
+    print(msg, file=sys.stderr)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -78,32 +76,25 @@ def _cmd_probe(args) -> int:
     state, _, _, _ = load_checkpoint(args.ckpt)
     phantoms = load_manifest(args.manifest)
     rng = np.random.default_rng(cfg.seed)
-    ckpt_id = str(args.ckpt)
     name = args.name
     if name == "compositionality":
         report = pb.compositionality_probe(state, phantoms, n_parts=args.parts,
-                                           samples=args.samples, rng=rng,
-                                           checkpoint_id=ckpt_id)
+                                           samples=args.samples, rng=rng)
     elif name == "decompositionality":
-        report = pb.decompositionality_probe(state, phantoms, rng,
-                                             n_batches=args.batches,
-                                             checkpoint_id=ckpt_id)
+        report = pb.decompositionality_probe(state, phantoms, rng, n_batches=args.batches)
     elif name == "retrieval":
-        report = pb.retrieval_probe(state, phantoms, rng, n_batches=args.batches,
-                                    checkpoint_id=ckpt_id)
+        report = pb.retrieval_probe(state, phantoms, rng, n_batches=args.batches)
     elif name == "correspondence":
         side = phantoms[0].image.shape[0]
         window = args.window or round(3 * side / 4)
         stride = args.stride or max(1, round(side / 32))
         report = pb.correspondence_probe(state, phantoms[:args.queries],
                                          phantoms[args.queries:args.queries + args.keys],
-                                         window=window, stride=stride,
-                                         checkpoint_id=ckpt_id)
+                                         window=window, stride=stride)
     elif name == "symmetry":
-        report = pb.symmetry_probe(state, phantoms[:args.samples], checkpoint_id=ckpt_id)
+        report = pb.symmetry_probe(state, phantoms[:args.samples])
     elif name == "separability":
         report = pb.landmark_separability(state, phantoms[:args.samples],
-                                          checkpoint_id=ckpt_id,
                                           embeddings_csv=out / "landmark_embeddings.csv")
     else:  # pragma: no cover - argparse choices guard this
         raise AceError(f"unknown probe {name!r}")
@@ -117,7 +108,8 @@ def _cmd_gradcheck(args) -> int:
     worst, name, seed = 0.0, "no case", args.seed
     for s in range(args.seed, args.seed + args.trials):
         for case, err in gradcases.errors(s):
-            if not err <= worst:  # a NaN error counts as the worst
+            # a NaN error counts as the worst, and no later error displaces it
+            if not err <= worst and not np.isnan(worst):
                 worst, name, seed = err, case, s
     ok = worst < 1e-4
     _log(f"gradcheck: {args.trials} trials, worst relative error {worst:.3e} "

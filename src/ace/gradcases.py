@@ -82,7 +82,7 @@ def _loss_graph_errors(rng: np.random.Generator):
     def total(name, t):
         probe = replace(state, student={**state.student, name: t})
         lg, lc, ld, _ = tr._batch_losses(probe, batch, cfg, spec, np.random.default_rng(0))
-        return obj.total_loss(lg, lc, ld, cfg.lambda_global, cfg.lambda_comp, cfg.lambda_decomp)[0]
+        return obj.total_loss(lg, lc, ld, cfg.lambda_global, cfg.lambda_comp, cfg.lambda_decomp)
 
     return [(f"loss_graph {name}", grad_check(lambda t: total(name, t), state.student[name],
                                               sample=1, rng=rng))

@@ -52,11 +52,11 @@ class EncoderConfig:
 
 @dataclass
 class EncoderState:
-    """Student parameters, gradient-free EMA teacher, center vector, step count."""
+    """Student parameters, EMA teacher as constant tensors, center vector, step count."""
 
     config: EncoderConfig
     student: dict[str, Tensor]
-    teacher: dict[str, np.ndarray]
+    teacher: dict[str, Tensor]
     center: np.ndarray
     step: int = 0
 
@@ -100,7 +100,7 @@ def init(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderState:
             bound = np.sqrt(3.0 / fan_in)
             data = rng.uniform(-bound, bound, size=shape)
         student[name] = Tensor(data, requires_grad=True)
-    teacher = {name: t.data.copy() for name, t in student.items()}
+    teacher = {name: Tensor(t.data.copy()) for name, t in student.items()}
     return EncoderState(config=cfg, student=student, teacher=teacher,
                         center=np.zeros(cfg.K), step=0)
 
@@ -138,14 +138,14 @@ def encode(cfg: EncoderConfig, params: dict[str, Tensor], images: np.ndarray) ->
     return x
 
 
-def encode_batch(cfg: EncoderConfig, params: dict[str, np.ndarray],
+def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor],
                  images: np.ndarray) -> np.ndarray:
-    """Gradient-free `encode` on constant weights: (B, H0, H0) -> (B, N, K).
+    """`encode` as a plain array: (B, H0, H0) -> (B, N, K).
 
-    A single (H0, H0) image is treated as a batch of one.
+    A single (H0, H0) image is treated as a batch of one.  Nothing is taped
+    for constant parameters (the teacher) or outside a tape (the probes).
     """
-    return encode(cfg, {n: Tensor(a) for n, a in params.items()},
-                  images if images.ndim == 3 else images[None]).data
+    return encode(cfg, params, images if images.ndim == 3 else images[None]).data
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +171,7 @@ def _decompose_scatter(t: int) -> np.ndarray:
     return np.asarray(perm, dtype=np.intp)
 
 
-def compose_head(cfg: EncoderConfig, params: dict[str, Tensor], tokens: Tensor) -> Tensor:
+def compose_head(params: dict[str, Tensor], tokens: Tensor) -> Tensor:
     """Merge each 2x2 token block (concatenated to 4K dims) through a 2-layer MLP.
 
     Input N x K with T x T layout; output (N/4) x K with (T/2) x (T/2) layout.
@@ -186,7 +186,7 @@ def compose_head(cfg: EncoderConfig, params: dict[str, Tensor], tokens: Tensor) 
     return tz.linear(y, params["comp.w2"], params["comp.b2"])
 
 
-def decompose_head(cfg: EncoderConfig, params: dict[str, Tensor], tokens: Tensor) -> Tensor:
+def decompose_head(params: dict[str, Tensor], tokens: Tensor) -> Tensor:
     """Expand each token to 4K dims through a 2-layer MLP, then chunk into 2x2 sub-tokens.
 
     Input N x K with T x T layout; output 4N x K with (2T) x (2T) layout.
@@ -202,17 +202,12 @@ def decompose_head(cfg: EncoderConfig, params: dict[str, Tensor], tokens: Tensor
     return tz.take_rows(chunked, _decompose_scatter(t))
 
 
-def global_head(cfg: EncoderConfig, params: dict[str, Tensor], pooled: Tensor) -> Tensor:
+def global_head(params: dict[str, Tensor], pooled: Tensor) -> Tensor:
     """Projection for the pooled global branch, keeping it off the token dims
     the positional matching losses compete for.  (R, K) -> (R, K), one pooled
     embedding per row."""
     y = tz.silu(tz.linear(pooled, params["ghead.w1"], params["ghead.b1"]))
     return tz.linear(y, params["ghead.w2"], params["ghead.b2"])
-
-
-def teacher_params(state: EncoderState) -> dict[str, Tensor]:
-    """Teacher weights wrapped as constant tensors (never tracked for gradients)."""
-    return {name: Tensor(arr) for name, arr in state.teacher.items()}
 
 
 def ema_lambda(step: int, total_steps: int) -> float:
@@ -228,9 +223,9 @@ def ema_update(state: EncoderState, lam: float) -> None:
     """teacher <- lam * teacher + (1 - lam) * student, in place."""
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"EMA rate must lie in [0, 1], got {lam}")
-    for name, arr in state.teacher.items():
-        arr *= lam
-        arr += (1.0 - lam) * state.student[name].data
+    for name, t in state.teacher.items():
+        t.data *= lam
+        t.data += (1.0 - lam) * state.student[name].data
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +303,8 @@ def save_state(path, state: EncoderState, extra: dict | None = None,
     arrays: dict[str, np.ndarray] = {"center": state.center}
     for name, t in state.student.items():
         arrays[f"student.{name}"] = t.data
-    for name, a in state.teacher.items():
-        arrays[f"teacher.{name}"] = a
+    for name, t in state.teacher.items():
+        arrays[f"teacher.{name}"] = t.data
     for name, a in (extra_arrays or {}).items():
         arrays[f"extra.{name}"] = a
     write_blob_file(path, header, arrays)
@@ -326,7 +321,7 @@ def load_state(path) -> tuple[EncoderState, dict, dict[str, np.ndarray]]:
         if name.startswith("student."):
             student[name[len("student."):]] = Tensor(a, requires_grad=True)
         elif name.startswith("teacher."):
-            teacher[name[len("teacher."):]] = a
+            teacher[name[len("teacher."):]] = Tensor(a)
         elif name.startswith("extra."):
             extra_arrays[name[len("extra."):]] = a
     state = EncoderState(config=cfg, student=student, teacher=teacher,

@@ -10,7 +10,6 @@ weights; kernel mass falling outside the overlap stays 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,27 +20,6 @@ from .errors import ParameterError, ShapeError
 from .tensor import Tensor
 
 CENTER_RATE = 0.9
-
-
-@dataclass(frozen=True)
-class MatchTarget:
-    """Gaussian-smoothed correspondence target plus its kernel parameters.
-
-    ``matrix`` is (R, C) for one crop pair or a (B, R, C) stack for a batch.
-    """
-
-    matrix: np.ndarray
-    kernel_size: int
-    sigma: float
-    role: str
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    global_term: float
-    comp_term: float
-    decomp_term: float
-    total: float
 
 
 def gaussian_kernel(k: int, sigma: float) -> np.ndarray:
@@ -57,8 +35,8 @@ def gaussian_kernel(k: int, sigma: float) -> np.ndarray:
 
 
 def build_target(pair: CropPair, spec: GridSpec, role: str,
-                 k: int = 3, sigma: float = 1.0) -> MatchTarget:
-    """Target matrix for one crop pair.
+                 k: int = 3, sigma: float = 1.0) -> np.ndarray:
+    """Gaussian-smoothed correspondence target matrix for one crop pair.
 
     composition   -> shape (N, N/4): C2 teacher tokens x composed C1 cells.
     decomposition -> shape (N, 4N):  C1 teacher tokens x decomposed C2 sub-cells.
@@ -70,8 +48,7 @@ def build_target(pair: CropPair, spec: GridSpec, role: str,
         raise ParameterError(f"role must be composition or decomposition, got {role!r}")
     ox = (pair.anchor1[0] - pair.anchor2[0]) // 2
     oy = (pair.anchor1[1] - pair.anchor2[1]) // 2
-    matrix = _target_matrix(spec.T, role, ox, oy, k, sigma)
-    return MatchTarget(matrix=matrix, kernel_size=k, sigma=sigma, role=role)
+    return _target_matrix(spec.T, role, ox, oy, k, sigma)
 
 
 def _axis_weights(t: int, side: int, w: int, lo: int, shift: int, half: int):
@@ -117,11 +94,13 @@ def matching_logits(y_teacher: Tensor, y_student_head: Tensor) -> Tensor:
     return tz.matmul(y_teacher, tz.transpose(y_student_head))
 
 
-def matching_loss_logits(z: Tensor, target: MatchTarget, alpha: float,
+def matching_loss_logits(z: Tensor, target: np.ndarray, alpha: float,
                          positive_only: bool = False) -> Tensor:
-    """Numerically stable matching loss taken directly on pre-sigmoid logits."""
-    return tz.weighted_match_loss_logits(z, target.matrix, alpha,
-                                         positive_only=positive_only)
+    """Numerically stable matching loss taken directly on pre-sigmoid logits.
+
+    ``target`` is (R, C) for one crop pair or a (B, R, C) stack for a batch.
+    """
+    return tz.weighted_match_loss_logits(z, target, alpha, positive_only=positive_only)
 
 
 def teacher_distribution(t_pooled: np.ndarray, center: np.ndarray, tau_t: float) -> np.ndarray:
@@ -161,18 +140,13 @@ def global_loss(y_s: Tensor, y_t: np.ndarray, o_s: np.ndarray, o_t: np.ndarray,
     return loss, t_pooled.data
 
 
-def update_center(center: np.ndarray, t_pooled_mean: np.ndarray,
-                  rate: float = CENTER_RATE) -> np.ndarray:
+def update_center(center: np.ndarray, t_pooled_mean: np.ndarray) -> np.ndarray:
     """EMA of teacher pooled outputs, the collapse guard for the global branch."""
-    return rate * center + (1.0 - rate) * t_pooled_mean
+    return CENTER_RATE * center + (1.0 - CENTER_RATE) * t_pooled_mean
 
 
 def total_loss(global_term: Tensor, comp_term: Tensor, decomp_term: Tensor,
-               lambda1: float, lambda2: float, lambda3: float):
-    """Weighted sum of the three branches; returns (tensor, breakdown record)."""
-    total = tz.add(tz.add(tz.scale(global_term, lambda1), tz.scale(comp_term, lambda2)),
-                   tz.scale(decomp_term, lambda3))
-    breakdown = LossBreakdown(
-        global_term=global_term.item(), comp_term=comp_term.item(),
-        decomp_term=decomp_term.item(), total=total.item())
-    return total, breakdown
+               lambda1: float, lambda2: float, lambda3: float) -> Tensor:
+    """Weighted sum of the three branches."""
+    return tz.add(tz.add(tz.scale(global_term, lambda1), tz.scale(comp_term, lambda2)),
+                  tz.scale(decomp_term, lambda3))

@@ -25,7 +25,6 @@ _RESIZE_CHUNK = 256
 @dataclass
 class ProbeReport:
     name: str
-    checkpoint_id: str
     summary: dict
     samples: list[dict] = field(repr=False, default_factory=list)
 
@@ -47,19 +46,14 @@ class ProbeReport:
                 writer.writerow([k, v])
 
 
-def _student_arrays(state: EncoderState) -> dict[str, np.ndarray]:
-    return {name: t.data for name, t in state.student.items()}
-
-
 def embed_crops(state: EncoderState, crops: np.ndarray) -> np.ndarray:
     """Shared feature path: resize to H0, encode, mean-pool tokens -> (B, K)."""
     cfg = state.config
-    params = _student_arrays(state)
     feats = []
     for i in range(0, len(crops), _RESIZE_CHUNK):
         chunk = np.asarray(crops[i:i + _RESIZE_CHUNK], dtype=float)
         resized = resize(chunk, cfg.H0)
-        feats.append(encode_batch(cfg, params, resized).mean(axis=1))
+        feats.append(encode_batch(cfg, state.student, resized).mean(axis=1))
     return np.concatenate(feats, axis=0)
 
 
@@ -103,8 +97,7 @@ def _random_square(rng: np.random.Generator, side: int):
 
 
 def compositionality_probe(state: EncoderState, phantoms: list[Phantom], n_parts: int,
-                           samples: int, rng: np.random.Generator,
-                           checkpoint_id: str = "") -> ProbeReport:
+                           samples: int, rng: np.random.Generator) -> ProbeReport:
     """Cosine between a patch embedding and the mean embedding of its sub-patches."""
     if n_parts not in (2, 4):
         raise ParameterError(f"n_parts must be 2 or 4, got {n_parts}")
@@ -129,12 +122,12 @@ def compositionality_probe(state: EncoderState, phantoms: list[Phantom], n_parts
                "mean_cosine": float(sims.mean()), "std_cosine": float(sims.std())}
     for i, count in enumerate(hist):
         summary[f"hist_{edges[i]:+.2f}"] = int(count)
-    return ProbeReport("compositionality", checkpoint_id, summary, records)
+    return ProbeReport("compositionality", summary, records)
 
 
 def decompositionality_probe(state: EncoderState, phantoms: list[Phantom],
                              rng: np.random.Generator, batch_size: int = 32,
-                             n_batches: int = 8, checkpoint_id: str = "") -> ProbeReport:
+                             n_batches: int = 8) -> ProbeReport:
     """Match embed(X) - embed(X without a patch) against the excised patches."""
     if len(phantoms) < batch_size:
         raise ParameterError(f"need at least {batch_size} phantoms, got {len(phantoms)}")
@@ -170,12 +163,12 @@ def decompositionality_probe(state: EncoderState, phantoms: list[Phantom],
     total = n_batches * batch_size
     summary = {"batches": n_batches, "batch_size": batch_size,
                "accuracy": correct / total, "ties": ties, "chance": 1.0 / batch_size}
-    return ProbeReport("decompositionality", checkpoint_id, summary, records)
+    return ProbeReport("decompositionality", summary, records)
 
 
 def retrieval_probe(state: EncoderState, phantoms: list[Phantom],
                     rng: np.random.Generator, batch_size: int = 32,
-                    n_batches: int = 8, checkpoint_id: str = "") -> ProbeReport:
+                    n_batches: int = 8) -> ProbeReport:
     """Whole-image retrieval from one query patch per batch item."""
     if len(phantoms) < batch_size:
         raise ParameterError(f"need at least {batch_size} phantoms, got {len(phantoms)}")
@@ -201,7 +194,7 @@ def retrieval_probe(state: EncoderState, phantoms: list[Phantom],
     summary = {"batches": n_batches, "batch_size": batch_size,
                "accuracy": correct / n_queries, "chance": 1.0 / batch_size,
                "degenerate": int(batch_size == 1)}
-    return ProbeReport("retrieval", checkpoint_id, summary, records)
+    return ProbeReport("retrieval", summary, records)
 
 
 def _key_dictionary(state: EncoderState, image: np.ndarray, window: int, stride: int):
@@ -223,16 +216,13 @@ def _key_dictionary(state: EncoderState, image: np.ndarray, window: int, stride:
     return feats, centers
 
 
-def correspondence_probe(state: EncoderState, queries, keys: list[Phantom],
-                         window: int, stride: int, checkpoint_id: str = "") -> ProbeReport:
+def correspondence_probe(state: EncoderState, queries: list[Phantom],
+                         keys: list[Phantom], window: int, stride: int) -> ProbeReport:
     """Cross-image landmark matching by nearest feature over a sliding window grid.
 
-    ``queries`` is one Phantom or a list of them; each key image's window
-    dictionary is built once and scored against every query, so the probe
-    covers len(queries) * len(keys) image pairs.
+    Each key image's window dictionary is built once and scored against
+    every query, so the probe covers len(queries) * len(keys) image pairs.
     """
-    if isinstance(queries, Phantom):
-        queries = [queries]
     if stride > window:
         raise ParameterError(f"stride {stride} exceeds window {window}")
     for q in queries:
@@ -266,11 +256,11 @@ def correspondence_probe(state: EncoderState, queries, keys: list[Phantom],
                "keys": len(keys),
                "mean_error_px": float(np.mean([r["error_px"] for r in records]))}
     summary.update(per_landmark)
-    return ProbeReport("correspondence", checkpoint_id, summary, records)
+    return ProbeReport("correspondence", summary, records)
 
 
 def symmetry_probe(state: EncoderState, phantoms: list[Phantom],
-                   patch_frac: float = 0.35, checkpoint_id: str = "") -> ProbeReport:
+                   patch_frac: float = 0.35) -> ProbeReport:
     """Flip-equivariance: mirrored landmark patches should match once flipped."""
     records = []
     for ph in phantoms:
@@ -296,12 +286,11 @@ def symmetry_probe(state: EncoderState, phantoms: list[Phantom],
     for left, right in MIRROR_PAIRS:
         key = f"{left}|{right}"
         summary[f"gap_{key}"] = float(np.mean([r["gap"] for r in records if r["pair"] == key]))
-    return ProbeReport("symmetry", checkpoint_id, summary, records)
+    return ProbeReport("symmetry", summary, records)
 
 
 def landmark_separability(state: EncoderState, phantoms: list[Phantom],
-                          patch_frac: float = 0.35, checkpoint_id: str = "",
-                          embeddings_csv=None) -> ProbeReport:
+                          patch_frac: float = 0.35, embeddings_csv=None) -> ProbeReport:
     """Leave-one-instance-out nearest-centroid accuracy over landmark identity."""
     if len(phantoms) < 2:
         raise ParameterError("landmark separability needs at least 2 instances")
@@ -340,4 +329,4 @@ def landmark_separability(state: EncoderState, phantoms: list[Phantom],
                             "predicted": names[int(preds[j])], "correct": hit})
     summary = {"instances": n_inst, "landmarks": n_lm,
                "accuracy": correct / (n_inst * n_lm), "chance": 1.0 / n_lm}
-    return ProbeReport("landmark_separability", checkpoint_id, summary, records)
+    return ProbeReport("landmark_separability", summary, records)

@@ -478,5 +478,5 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6,
         numeric = (fp - fm) / (2 * eps)
         a = analytic.reshape(-1)[i]
         err = abs(a - numeric) / max(1.0, abs(a))
-        max_err = max(max_err, err)
-    return max_err
+        max_err = np.maximum(max_err, err)  # a NaN error stays the result
+    return float(max_err)

@@ -178,11 +178,9 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 
 
 def _target_stack(pairs: list[cropgrid.CropPair], spec: cropgrid.GridSpec, role: str,
-                  cfg: RunConfig) -> objective.MatchTarget:
-    mats = [objective.build_target(p, spec, role, k=cfg.kernel_size, sigma=cfg.kernel_sigma)
-            .matrix for p in pairs]
-    return objective.MatchTarget(matrix=np.stack(mats), kernel_size=cfg.kernel_size,
-                                 sigma=cfg.kernel_sigma, role=role)
+                  cfg: RunConfig) -> np.ndarray:
+    return np.stack([objective.build_target(p, spec, role, k=cfg.kernel_size,
+                                            sigma=cfg.kernel_sigma) for p in pairs])
 
 
 def _batch_losses(state: model.EncoderState, batch: list[tuple[np.ndarray, cropgrid.CropPair]],
@@ -212,14 +210,14 @@ def _batch_losses(state: model.EncoderState, batch: list[tuple[np.ndarray, cropg
 
     # composition: C1 -> student -> composer vs C2 -> teacher
     z_comp = objective.matching_logits(
-        Tensor(t[b:]), model.compose_head(enc, state.student, tz.slice_batch(s, 0, b)))
+        Tensor(t[b:]), model.compose_head(state.student, tz.slice_batch(s, 0, b)))
     loss_comp = objective.matching_loss_logits(
         z_comp, _target_stack(pairs, spec, "composition", cfg), cfg.alpha_comp,
         positive_only=cfg.positive_only)
 
     # decomposition: C2 -> student -> decomposer vs C1 -> teacher
     z_dec = objective.matching_logits(
-        Tensor(t[:b]), model.decompose_head(enc, state.student, tz.slice_batch(s, b, 2 * b)))
+        Tensor(t[:b]), model.decompose_head(state.student, tz.slice_batch(s, b, 2 * b)))
     loss_decomp = objective.matching_loss_logits(
         z_dec, _target_stack(pairs, spec, "decomposition", cfg), cfg.alpha_decomp,
         positive_only=cfg.positive_only)
@@ -227,12 +225,11 @@ def _batch_losses(state: model.EncoderState, batch: list[tuple[np.ndarray, cropg
     # global: each crop's pooled overlap embedding against the teacher's for
     # the other crop of its pair (both orderings), through the projection heads
     masks = np.stack([p.O1 for p in pairs] + [p.O2 for p in pairs])
-    teacher = model.teacher_params(state)
     loss_global, t_pooled = objective.global_loss(
         s, np.roll(t, b, axis=0), masks, np.roll(masks, b, axis=0),
         cfg.tau_student, cfg.tau_teacher, state.center,
-        student_head=lambda pooled: model.global_head(enc, state.student, pooled),
-        teacher_head=lambda pooled: model.global_head(enc, teacher, pooled))
+        student_head=lambda pooled: model.global_head(state.student, pooled),
+        teacher_head=lambda pooled: model.global_head(state.teacher, pooled))
     return loss_global, loss_comp, loss_decomp, t_pooled.mean(axis=0)
 
 
@@ -243,10 +240,11 @@ def train_step(state: model.EncoderState, opt: AdamW,
     with Tape():
         loss_global, loss_comp, loss_decomp, t_pooled = _batch_losses(
             state, batch, cfg, spec, rng)
-        total, breakdown = objective.total_loss(
+        total = objective.total_loss(
             loss_global, loss_comp, loss_decomp,
             lambda1=cfg.lambda_global, lambda2=cfg.lambda_comp, lambda3=cfg.lambda_decomp)
-        if not np.isfinite(total.item()):
+        loss_total = total.item()
+        if not np.isfinite(loss_total):
             anchors = [(p.anchor1, p.anchor2) for _, p in batch]
             raise AceError(f"non-finite loss at step {state.step}; pair anchors: {anchors}")
         tz.backward(total)
@@ -266,9 +264,9 @@ def train_step(state: model.EncoderState, opt: AdamW,
         state.center = objective.update_center(state.center, t_pooled)
     state.step += 1
     return StepRecord(step=state.step, epoch=epoch, ema_lambda=lam, lr=lr,
-                      weight_decay=wd, loss_global=breakdown.global_term,
-                      loss_comp=breakdown.comp_term, loss_decomp=breakdown.decomp_term,
-                      loss_total=breakdown.total, grad_norm=grad_norm)
+                      weight_decay=wd, loss_global=loss_global.item(),
+                      loss_comp=loss_comp.item(), loss_decomp=loss_decomp.item(),
+                      loss_total=loss_total, grad_norm=grad_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,8 @@ def test_target_matrix_values_and_shapes():
     pair = CropPair(anchor1=(2, 4), anchor2=(0, 0), idx1=idx1, idx2=idx2,
                     O1=O1, O2=O2)
     n = DESK.T ** 2
-    comp = obj.build_target(pair, DESK, "composition", k=3, sigma=1.0).matrix
-    dec = obj.build_target(pair, DESK, "decomposition", k=3, sigma=1.0).matrix
+    comp = obj.build_target(pair, DESK, "composition", k=3, sigma=1.0)
+    dec = obj.build_target(pair, DESK, "decomposition", k=3, sigma=1.0)
     assert comp.shape == (n, n // 4)
     assert dec.shape == (n, 4 * n)
     expect = {1.0, math.exp(-0.5), math.exp(-1.0)}
@@ -93,7 +93,7 @@ def test_target_matrix_values_and_shapes():
     full_idx, full_idx2, fO1, fO2 = compute_overlap(DESK, (0, 0), (0, 0))
     full = CropPair(anchor1=(0, 0), anchor2=(0, 0), idx1=full_idx,
                     idx2=full_idx2, O1=fO1, O2=fO2)
-    sums = obj.build_target(full, DESK, "composition").matrix.sum(axis=0)
+    sums = obj.build_target(full, DESK, "composition").sum(axis=0)
     got = sums.reshape(4, 4)[1, 1]
     assert abs(got - interior) < 1e-9
     assert abs(got - 4.897640) < 1e-6  # six-decimal printed reference

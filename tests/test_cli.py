@@ -2,7 +2,6 @@
 
 import re
 
-import numpy as np
 import pytest
 
 import ace.tensor as tz
@@ -73,7 +72,6 @@ def test_gradcheck_command():
 def test_gradcheck_catches_a_wrong_production_backward(capsys, monkeypatch):
     """The command runs the gate's case table, so a 1% error in the backward
     of a primitive that only training calls fails it, by name."""
-    monkeypatch.setenv("ACE_LOG", "1")
     real = tz.row_norm
 
     def skewed(a):
@@ -91,8 +89,26 @@ def test_gradcheck_catches_a_wrong_production_backward(capsys, monkeypatch):
                         r"\(row_norm(_batch)?, seed 0\), FAIL", summary), summary
 
 
-def test_geom_verify_command(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ACE_LOG", "1")
+def test_gradcheck_catches_a_nan_production_backward(capsys, monkeypatch):
+    """A backward that writes NaN fails the command, and the NaN stays the
+    worst error over the later, finite cases."""
+    real = tz.row_norm
+
+    def poisoned(a):
+        out = real(a)
+        tape = tz._active_tape()
+        if out.requires_grad:
+            node, parents, bw = tape._nodes[-1]
+            tape._nodes[-1] = (node, parents, lambda g: bw(g * float("nan")))
+        return out
+
+    monkeypatch.setattr(tz, "row_norm", poisoned)
+    assert main(["gradcheck", "--trials", "1"]) == 1
+    summary = capsys.readouterr().err.strip().splitlines()[-1]
+    assert summary == "gradcheck: 1 trials, worst relative error nan (row_norm, seed 0), FAIL"
+
+
+def test_geom_verify_command(tmp_path, capsys):
     assert main(["geom-verify", "--out", str(tmp_path / "g"), "--samples", "50"]) == 0
     summary = capsys.readouterr().err.strip().splitlines()[-1]
     m = re.fullmatch(r"geom-verify: 50 pairs, 0 failures, ([0-9.]+) s, ([0-9]+) pairs/s",

@@ -106,3 +106,26 @@ def test_every_src_definition_is_called():
     unused = sorted(f"{module}:{name}" for module, name in defined
                     if name not in named and name not in ace.__all__)
     assert not unused, f"definitions nothing calls: {unused}"
+
+
+def test_no_unused_imports():
+    """Every name an import binds in the package or the tests is used in its
+    module; the package's `__init__` binds the names it exports."""
+    unused = []
+    for path in sorted([*Path(ace.__file__).parent.glob("*.py"),
+                        *Path(__file__).parent.glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    bound[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    bound[a.asname or a.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(ace.__all__)
+        unused += [f"{path.parent.name}/{path.name}:{line}: {name}"
+                   for name, line in bound.items() if name not in used]
+    assert not unused, f"imports nothing uses: {unused}"

@@ -13,8 +13,8 @@ import pytest
 import reference
 
 import ace
-from ace.cropgrid import (CropPair, GridSpec, compute_overlap, extract_and_resize,
-                          resize, sample_crop_pair)
+from ace.cropgrid import (GridSpec, compute_overlap, extract_and_resize, resize,
+                          sample_crop_pair)
 from ace.errors import AlignmentError, GeometryError, ParameterError, ShapeError
 from ace.objective import build_target
 from ace.pixelcheck import _token_rects, overlap_via_pixels, verify_geometry
@@ -185,8 +185,8 @@ def test_mask_pool_and_upsample(desk_spec):
     rng = np.random.default_rng(3)
     for _ in range(20):
         pair = sample_crop_pair(rng, desk_spec)
-        comp = build_target(pair, desk_spec, "composition").matrix
-        dec = build_target(pair, desk_spec, "decomposition").matrix
+        comp = build_target(pair, desk_spec, "composition")
+        dec = build_target(pair, desk_spec, "decomposition")
         for matrix, rows, cols in ((comp, pair.O2, reference.pool_mask(pair.O1)),
                                    (dec, pair.O1, reference.upsample_mask(pair.O2))):
             assert np.array_equal(matrix.any(axis=1), rows.reshape(-1) > 0)

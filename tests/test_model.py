@@ -28,8 +28,8 @@ def test_init_deterministic_and_teacher_copies(tiny_cfg):
     b = init(tiny_cfg, np.random.default_rng(0))
     for name in a.student:
         assert np.array_equal(a.student[name].data, b.student[name].data)
-        assert np.array_equal(a.student[name].data, a.teacher[name])
-        assert a.teacher[name] is not a.student[name].data
+        assert np.array_equal(a.student[name].data, a.teacher[name].data)
+        assert a.teacher[name].data is not a.student[name].data
     assert np.all(a.center == 0)
 
 
@@ -46,8 +46,7 @@ def test_encode_batch_matches_encode(tiny_state):
     cfg = tiny_state.config
     rng = np.random.default_rng(2)
     imgs = rng.random((3, cfg.H0, cfg.H0))
-    arrays = {n: t.data for n, t in tiny_state.student.items()}
-    batched = encode_batch(cfg, arrays, imgs)
+    batched = encode_batch(cfg, tiny_state.student, imgs)
     taped = encode(cfg, tiny_state.student, imgs).data
     singles = np.stack([encode(cfg, tiny_state.student, img).data for img in imgs])
     assert batched.shape == (3, cfg.n_tokens, cfg.K)
@@ -107,8 +106,8 @@ def test_head_shapes_and_grad_flow(tiny_state):
     img = np.random.default_rng(0).random((cfg.H0, cfg.H0))
     with Tape():
         tokens = encode(cfg, tiny_state.student, img)
-        comp = model.compose_head(cfg, tiny_state.student, tokens)
-        dec = model.decompose_head(cfg, tiny_state.student, tokens)
+        comp = model.compose_head(tiny_state.student, tokens)
+        dec = model.decompose_head(tiny_state.student, tokens)
         assert comp.data.shape == (n // 4, k)
         assert dec.data.shape == (4 * n, k)
         rng = np.random.default_rng(1)
@@ -143,18 +142,18 @@ def test_ema_lambda_endpoints():
 
 
 def test_ema_update_convex_combination(tiny_state):
-    before = {n: a.copy() for n, a in tiny_state.teacher.items()}
+    before = {n: t.data.copy() for n, t in tiny_state.teacher.items()}
     for t in tiny_state.student.values():
         t.data += 1.0
     model.ema_update(tiny_state, 0.75)
-    for name, arr in tiny_state.teacher.items():
+    for name, t in tiny_state.teacher.items():
         expect = 0.75 * before[name] + 0.25 * tiny_state.student[name].data
-        assert np.allclose(arr, expect, atol=1e-15)
+        assert np.allclose(t.data, expect, atol=1e-15)
     # rate 1 freezes the teacher
-    frozen = {n: a.copy() for n, a in tiny_state.teacher.items()}
+    frozen = {n: t.data.copy() for n, t in tiny_state.teacher.items()}
     model.ema_update(tiny_state, 1.0)
-    for name, arr in tiny_state.teacher.items():
-        assert np.array_equal(arr, frozen[name])
+    for name, t in tiny_state.teacher.items():
+        assert np.array_equal(t.data, frozen[name])
     with pytest.raises(ParameterError):
         model.ema_update(tiny_state, 1.5)
 
@@ -173,7 +172,7 @@ def test_checkpoint_roundtrip_bit_exact(tiny_state, tmp_path):
     assert np.array_equal(loaded.center, tiny_state.center)
     for name in tiny_state.student:
         assert np.array_equal(loaded.student[name].data, tiny_state.student[name].data)
-        assert np.array_equal(loaded.teacher[name], tiny_state.teacher[name])
+        assert np.array_equal(loaded.teacher[name].data, tiny_state.teacher[name].data)
         assert loaded.student[name].requires_grad
 
 

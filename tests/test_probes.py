@@ -100,12 +100,12 @@ def test_correspondence_same_image_oracle(probe_state, probe_phantoms):
     """Query == key with stride 1: the exact window is in the dictionary, so
     the feature distance is zero and errors reduce to rounding."""
     ph = probe_phantoms[0]
-    rep = pb.correspondence_probe(probe_state, ph, [ph], window=48, stride=1)
+    rep = pb.correspondence_probe(probe_state, [ph], [ph], window=48, stride=1)
     assert rep.summary["mean_error_px"] < 2.0
     with pytest.raises(ParameterError):
-        pb.correspondence_probe(probe_state, ph, [ph], window=8, stride=16)
+        pb.correspondence_probe(probe_state, [ph], [ph], window=8, stride=16)
     with pytest.raises(ParameterError):
-        pb.correspondence_probe(probe_state, ph, [ph], window=999, stride=1)
+        pb.correspondence_probe(probe_state, [ph], [ph], window=999, stride=1)
 
 
 def test_symmetry_probe_on_clean_phantoms(probe_state):

@@ -5,9 +5,9 @@ import pytest
 
 import ace.synthgen as sg
 from ace.errors import FormatError, ParameterError
-from ace.synthgen import (LANDMARK_NAMES, MIRROR_PAIRS, Phantom, PhantomSpec,
-                          build_manifest, generate, generate_dataset, instance_rng,
-                          load_manifest, read_image, write_image)
+from ace.synthgen import (LANDMARK_NAMES, MIRROR_PAIRS, PhantomSpec, build_manifest,
+                          generate, generate_dataset, instance_rng, load_manifest,
+                          read_image, write_image)
 
 
 def _clean_spec(side=128):

@@ -220,6 +220,26 @@ def test_grad_check_sampled_coordinates():
     assert err < TOL
 
 
+def test_grad_check_reports_a_nan_gradient():
+    """A backward that writes NaN into the first coordinate only: the NaN is
+    the result, not skipped by the max and not displaced by later errors."""
+    def poisoned_silu(t):
+        out = tz.silu(t)
+        if out.requires_grad:  # the taped pass, not a finite-difference one
+            tape = tz._active_tape()
+            node, parents, bw = tape._nodes[-1]
+
+            def nan_first(g):
+                g = g.copy()
+                g.flat[0] = np.nan
+                return bw(g)
+            tape._nodes[-1] = (node, parents, nan_first)
+        return out
+
+    x, w = Tensor(_rand(4, 8)), _rand(32)
+    assert np.isnan(grad_check(lambda t: weigh(poisoned_silu(t), w), x))
+
+
 # ---------------------------------------------------------------------------
 # gradient ownership: no gradient is written in place, op outputs are freed
 

@@ -355,16 +355,16 @@ def _reference_pair_losses(state, image, pair, cfg, spec, rng):
         z = obj.matching_logits(Tensor(teacher_tokens), head_out)
         return obj.matching_loss_logits(z, target, alpha)
 
-    comp = match(t2, model.compose_head(enc, state.student, s1), "composition", cfg.alpha_comp)
-    dec = match(t1, model.decompose_head(enc, state.student, s2), "decomposition",
+    comp = match(t2, model.compose_head(state.student, s1), "composition", cfg.alpha_comp)
+    dec = match(t1, model.decompose_head(state.student, s2), "decomposition",
                 cfg.alpha_decomp)
 
     def head(params):
         return lambda pooled: tz.reshape(
-            model.global_head(enc, params, tz.reshape(pooled, (1, enc.K))), (enc.K,))
+            model.global_head(params, tz.reshape(pooled, (1, enc.K))), (enc.K,))
 
-    teacher = model.teacher_params(state)
-    args = (cfg.tau_student, cfg.tau_teacher, state.center, head(state.student), head(teacher))
+    args = (cfg.tau_student, cfg.tau_teacher, state.center, head(state.student),
+            head(state.teacher))
     g1, tp2 = obj.global_loss(s1, t2, pair.O1, pair.O2, *args)
     g2, tp1 = obj.global_loss(s2, t1, pair.O2, pair.O1, *args)
     return tz.scale(tz.add(g1, g2), 0.5), comp, dec, 0.5 * (tp1 + tp2)
@@ -436,3 +436,27 @@ def test_resume_refuses_a_different_config(tmp_path):
     # checkpoint cadence does not change the trajectory
     train_loop(_tiny_run_cfg(epochs=1, checkpoint_every=5), manifest, tmp_path / "run",
                resume_from=ckpt)
+
+
+def _assert_teacher_constant(state):
+    student_arrays = [p.data for p in state.student.values()]
+    for name, t in state.teacher.items():
+        assert t.requires_grad is False and t.grad is None, name
+        assert not any(np.shares_memory(t.data, a) for a in student_arrays), name
+
+
+def test_teacher_stays_constant_through_a_step_and_a_checkpoint(tmp_path):
+    """The teacher is constant tensors: no step gives it a gradient or ties
+    it to student memory, and a checkpoint round trip keeps that."""
+    cfg, spec, batch = _step_inputs(tmp_path, 2)
+    state = init(cfg.encoder_config(), np.random.default_rng(0))
+    opt = AdamW(state.student)
+    _assert_teacher_constant(state)
+    tr.train_step(state, opt, batch, cfg, spec, np.random.default_rng(0),
+                  total_steps=4, warmup_steps=1, epoch=0)
+    _assert_teacher_constant(state)
+    save_checkpoint(tmp_path / "step.ace", state, opt, np.random.default_rng(0), cfg)
+    loaded, _, _, _ = load_checkpoint(tmp_path / "step.ace")
+    _assert_teacher_constant(loaded)
+    for name, t in state.teacher.items():
+        assert np.array_equal(loaded.teacher[name].data, t.data), name
