@@ -30,6 +30,14 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _count(text: str) -> int:
+    """A self-check's count: one that checks nothing must not pass."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -161,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the gradient gate's cases")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("geom-verify", help="crop geometry vs the pixel oracle")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count, default=1000)
     p.add_argument("--corrupt", action="store_true",
                    help="inject a misalignment and require the oracle to catch it")
     p.set_defaults(func=_cmd_geom_verify)

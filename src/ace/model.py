@@ -13,7 +13,6 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -148,27 +147,10 @@ def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor],
     return encode(cfg, params, images if images.ndim == 3 else images[None]).data
 
 
-@lru_cache(maxsize=None)
-def _compose_gather(t: int) -> np.ndarray:
-    # rows 4i..4i+3 are the 2x2 block members of composed cell i, row-major
-    idx = []
-    for r in range(0, t, 2):
-        for c in range(0, t, 2):
-            idx.extend([r * t + c, r * t + c + 1, (r + 1) * t + c, (r + 1) * t + c + 1])
-    return np.asarray(idx, dtype=np.intp)
-
-
-@lru_cache(maxsize=None)
-def _decompose_scatter(t: int) -> np.ndarray:
-    # perm[k] = source row in the chunked (4N x K) layout for output row k
-    # of the row-major (2T x 2T) sub-token grid
-    perm = []
-    for rr in range(2 * t):
-        for cc in range(2 * t):
-            i = (rr // 2) * t + (cc // 2)
-            j = (rr % 2) * 2 + (cc % 2)
-            perm.append(4 * i + j)
-    return np.asarray(perm, dtype=np.intp)
+def _swap_blocks(x: Tensor, view, out) -> Tensor:
+    """Reshape to `view`, swap axes -4 and -3, reshape to `out`: the swap turns a
+    row-major (A, 2, B, 2) token grid into (A, B, 2, 2) blocks of members, and back."""
+    return tz.reshape(tz.swapaxes(tz.reshape(x, view), -4, -3), out)
 
 
 def compose_head(params: dict[str, Tensor], tokens: Tensor) -> Tensor:
@@ -181,7 +163,7 @@ def compose_head(params: dict[str, Tensor], tokens: Tensor) -> Tensor:
     t = int(np.sqrt(n))
     if t * t != n or t % 2 != 0:
         raise ShapeError(f"compose_head: token count {n} is not an even square")
-    grouped = tz.reshape(tz.take_rows(tokens, _compose_gather(t)), (*lead, n // 4, 4 * k))
+    grouped = _swap_blocks(tokens, (*lead, t // 2, 2, t // 2, 2, k), (*lead, n // 4, 4 * k))
     y = tz.silu(tz.linear(grouped, params["comp.w1"], params["comp.b1"]))
     return tz.linear(y, params["comp.w2"], params["comp.b2"])
 
@@ -198,8 +180,7 @@ def decompose_head(params: dict[str, Tensor], tokens: Tensor) -> Tensor:
         raise ShapeError(f"decompose_head: token count {n} is not a square")
     y = tz.silu(tz.linear(tokens, params["decomp.w1"], params["decomp.b1"]))
     y = tz.linear(y, params["decomp.w2"], params["decomp.b2"])
-    chunked = tz.reshape(y, (*lead, 4 * n, k))
-    return tz.take_rows(chunked, _decompose_scatter(t))
+    return _swap_blocks(y, (*lead, t, t, 2, 2, k), (*lead, 4 * n, k))
 
 
 def global_head(params: dict[str, Tensor], pooled: Tensor) -> Tensor:
@@ -279,13 +260,22 @@ def read_blob_file(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise FormatError(f"{path}: header is not an object with a 'blobs' list")
         arrays = {}
         for blob in header.pop("blobs"):
-            shape = tuple(blob["shape"])
+            name = _field(blob, "name", path, "a blob entry")
+            shape = tuple(_field(blob, "shape", path, f"blob {name!r}"))
             count = int(np.prod(shape)) if shape else 1
             buf = f.read(8 * count)
             if len(buf) != 8 * count:
-                raise FormatError(f"{path}: truncated blob {blob['name']!r}")
-            arrays[blob["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                raise FormatError(f"{path}: truncated blob {name!r}")
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return header, arrays
+
+
+def _field(record, key: str, path, what: str):
+    """record[key], or a FormatError naming the file and the missing key."""
+    try:
+        return record[key]
+    except (KeyError, TypeError):
+        raise FormatError(f"{path}: {what} has no {key!r}") from None
 
 
 def config_from_header(cls, values: dict, path):
@@ -312,11 +302,11 @@ def save_state(path, state: EncoderState, extra: dict | None = None,
 
 def load_state(path) -> tuple[EncoderState, dict, dict[str, np.ndarray]]:
     header, arrays = read_blob_file(path)
-    cfg = config_from_header(EncoderConfig, header["config"], path)
+    cfg = config_from_header(EncoderConfig, _field(header, "config", path, "the header"), path)
     student = {}
     teacher = {}
     extra_arrays = {}
-    center = arrays.pop("center")
+    center = _field(arrays, "center", path, "the blob list")
     for name, a in arrays.items():
         if name.startswith("student."):
             student[name[len("student."):]] = Tensor(a, requires_grad=True)
@@ -325,5 +315,5 @@ def load_state(path) -> tuple[EncoderState, dict, dict[str, np.ndarray]]:
         elif name.startswith("extra."):
             extra_arrays[name[len("extra."):]] = a
     state = EncoderState(config=cfg, student=student, teacher=teacher,
-                         center=center, step=int(header["step"]))
+                         center=center, step=int(_field(header, "step", path, "the header")))
     return state, header.get("extra", {}), extra_arrays

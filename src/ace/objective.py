@@ -91,7 +91,7 @@ def matching_logits(y_teacher: Tensor, y_student_head: Tensor) -> Tensor:
     if y_teacher.data.shape[-1] != y_student_head.data.shape[-1]:
         raise ShapeError(
             f"matching: embedding dims differ, {y_teacher.data.shape} vs {y_student_head.data.shape}")
-    return tz.matmul(y_teacher, tz.transpose(y_student_head))
+    return tz.matmul(y_teacher, tz.swapaxes(y_student_head, -1, -2))
 
 
 def matching_loss_logits(z: Tensor, target: np.ndarray, alpha: float,

@@ -225,6 +225,9 @@ def correspondence_probe(state: EncoderState, queries: list[Phantom],
     """
     if stride > window:
         raise ParameterError(f"stride {stride} exceeds window {window}")
+    for arg, images in (("queries", queries), ("keys", keys)):
+        if not images:
+            raise ParameterError(f"correspondence_probe: {arg} is empty")
     for q in queries:
         if window > q.image.shape[0]:
             raise ParameterError(f"window {window} exceeds image side {q.image.shape[0]}")

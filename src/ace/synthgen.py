@@ -289,14 +289,14 @@ def read_image(path) -> np.ndarray:
 # manifest: UTF-8, tab separated, paths relative to the manifest file
 
 MANIFEST_NAME = "manifest.tsv"
+_NUMERIC_COLUMNS = [f"{n}_{axis}" for n in LANDMARK_NAMES for axis in "xy"] + ["seed"]
 
 
 def build_manifest(directory, phantoms: list[Phantom]) -> Path:
     """Write images (if absent) plus the manifest; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    cols = ["instance_id", "path"] + [f"{n}_x\t{n}_y" for n in LANDMARK_NAMES] + ["seed"]
-    lines = ["\t".join(cols)]
+    lines = ["\t".join(["instance_id", "path", *_NUMERIC_COLUMNS])]
     for ph in phantoms:
         rel = f"{ph.instance_id}.pgm"
         img_path = directory / rel
@@ -325,11 +325,17 @@ def load_manifest(manifest_path, load_images: bool = True) -> list[Phantom]:
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) != 3 + 2 * len(LANDMARK_NAMES):
+        if len(parts) != 2 + len(_NUMERIC_COLUMNS):
             raise FormatError(f"{manifest_path}:{lineno}: wrong column count {len(parts)}")
         instance_id, rel = parts[0], parts[1]
-        seed = int(parts[-1])
-        coords = [float(v) for v in parts[2:-1]]
+        values = []
+        for column, text in zip(_NUMERIC_COLUMNS, parts[2:]):
+            try:
+                values.append(int(text) if column == "seed" else float(text))
+            except ValueError:
+                raise FormatError(f"{manifest_path}:{lineno}: column {column!r} "
+                                  f"is not a number: {text!r}") from None
+        *coords, seed = values
         landmarks = {name: (coords[2 * i], coords[2 * i + 1])
                      for i, name in enumerate(LANDMARK_NAMES)}
         img_path = base / rel

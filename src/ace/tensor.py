@@ -93,7 +93,7 @@ def _accum(t: Tensor, g: np.ndarray):
     The first contribution is stored as given, and a later one replaces the
     sum with a new array: no gradient is ever written in place.  That rule
     lets a backward pass hand one array to several parents (``add``) or a
-    view of its own gradient (``reshape``, ``transpose``) without copying.
+    view of its own gradient (``reshape``, ``swapaxes``) without copying.
     """
     if not t.requires_grad:
         return
@@ -234,14 +234,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, w, b), bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a matrix or of every matrix in a batch."""
-    _check_batched(a, "transpose")
+def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
+    """Exchange two axes, as a contiguous copy; the backward pass makes the
+    same swap on the gradient."""
+    nd = a.data.ndim
+    if not (-nd <= axis1 < nd and -nd <= axis2 < nd):
+        raise ShapeError(f"swapaxes: axes {axis1}, {axis2} out of range for shape {a.data.shape}")
 
     def bw(g):
-        _accum(a, np.swapaxes(g, -1, -2))
+        _accum(a, np.swapaxes(g, axis1, axis2))
 
-    return _record(np.swapaxes(a.data, -1, -2).copy(), (a,), bw)
+    return _record(np.swapaxes(a.data, axis1, axis2).copy(), (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -266,29 +269,6 @@ def slice_batch(a: Tensor, start: int, stop: int) -> Tensor:
             _accum(a, ga)
 
     return _record(a.data[start:stop], (a,), bw)
-
-
-def take_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows (axis -2) of a matrix or of every matrix in a batch;
-    backward undoes a permutation by gathering with its inverse and otherwise
-    scatters with accumulation."""
-    _check_batched(a, "take_rows")
-    idx = np.asarray(idx, dtype=np.intp)
-    sel = (slice(None),) * (a.data.ndim - 2) + (idx,)
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        inv = np.argsort(idx)
-        if len(idx) == a.data.shape[-2] and np.array_equal(idx[inv], np.arange(len(idx))):
-            # each row receives exactly one term
-            _accum(a, g[..., inv, :])
-        else:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, sel, g)
-            _accum(a, ga)
-
-    return _record(a.data[sel], (a,), bw)
 
 
 def _check_rowvec(a: Tensor, v: Tensor, op: str):

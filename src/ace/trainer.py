@@ -300,13 +300,19 @@ def load_checkpoint(path):
 
 
 def _truncate_metrics(path: Path, upto_step: int):
+    """Keep the records up to the checkpoint's step.  Metrics are flushed before
+    each checkpoint, so text after the last newline is a record torn after it."""
     if not path.exists():
         return
     kept = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n")[:-1], start=1):
         if not line.strip():
             continue
-        if json.loads(line)["step"] <= upto_step:
+        try:
+            step = json.loads(line)["step"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise AceError(f"{path}:{lineno}: unreadable metrics record ({exc})") from None
+        if step <= upto_step:
             kept.append(line)
     path.write_text("".join(l + "\n" for l in kept), encoding="utf-8")
 

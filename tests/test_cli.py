@@ -169,6 +169,16 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["gradcheck", "--trials", "0"],
+                                  ["geom-verify", "--samples", "0"],
+                                  ["geom-verify", "--samples", "-5"]])
+def test_self_check_of_nothing_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_seed_override_changes_run(workspace, tmp_path):
     root, manifest, tiny = workspace
     for seed, out in (("0", "s0"), ("1", "s1")):

@@ -77,27 +77,38 @@ def test_patch_order_is_row_major(tiny_cfg):
             assert out[r, c] == img[2 * r:2 * r + 2, 2 * c:2 * c + 2].sum()
 
 
-def test_compose_gather_against_reference(tiny_state):
-    cfg = tiny_state.config
-    t = cfg.T
-    idx = model._compose_gather(t)
-    # independent reference: block (br, bc) owns rows in its 2x2 footprint
-    for block in range(t * t // 4):
+@pytest.mark.parametrize("t", [4, 8, 14])
+def test_head_regroup_against_reference(t, monkeypatch):
+    """Index-labelled tokens through heads whose MLPs are made known affine
+    maps show where the 2x2 regroup sends each row; explicit loops give the
+    reference layout."""
+    monkeypatch.setattr(tz, "linear", lambda x, w, b: Tensor(x.data @ w + b))
+    monkeypatch.setattr(tz, "silu", lambda x: x)
+    n, eye, zero = t * t, np.eye(4), np.zeros(4)
+    labels = np.arange(n, dtype=float)[:, None]  # K = 1, token i holds i
+    comp_params = {"comp.w1": eye, "comp.b1": zero, "comp.w2": eye, "comp.b2": zero}
+    dec_params = {"decomp.w1": np.full((1, 4), 4.0), "decomp.b1": np.arange(4.0),
+                  "decomp.w2": eye, "decomp.b2": zero}  # chunk j of token i holds 4i + j
+    comp = model.compose_head(comp_params, Tensor(labels)).data
+    dec = model.decompose_head(dec_params, Tensor(labels)).data
+    assert comp.shape == (n // 4, 4) and dec.shape == (4 * n, 1)
+    # composed cell (br, bc) concatenates the tokens of its 2x2 footprint
+    for block in range(n // 4):
         br, bc = divmod(block, t // 2)
-        quad = idx[4 * block:4 * block + 4]
         expect = [2 * br * t + 2 * bc, 2 * br * t + 2 * bc + 1,
                   (2 * br + 1) * t + 2 * bc, (2 * br + 1) * t + 2 * bc + 1]
-        assert list(quad) == expect
-
-
-def test_decompose_scatter_against_reference():
-    t = 4
-    perm = model._decompose_scatter(t)
+        assert list(comp[block]) == expect
+    # sub-token (rr, cc) of the 2T x 2T grid is chunk (rr % 2, cc % 2) of
+    # token (rr // 2, cc // 2)
     for rr in range(2 * t):
         for cc in range(2 * t):
             src_token = (rr // 2) * t + (cc // 2)
             sub = (rr % 2) * 2 + (cc % 2)
-            assert perm[rr * 2 * t + cc] == 4 * src_token + sub
+            assert dec[rr * 2 * t + cc, 0] == 4 * src_token + sub
+    # a leading batch axis passes through both
+    batch = Tensor(np.stack([labels, labels + n]))
+    assert np.array_equal(model.compose_head(comp_params, batch).data, [comp, comp + n])
+    assert np.array_equal(model.decompose_head(dec_params, batch).data, [dec, dec + 4 * n])
 
 
 def test_head_shapes_and_grad_flow(tiny_state):
@@ -125,7 +136,7 @@ def test_teacher_gets_no_gradients(tiny_state):
     t_out = encode_batch(cfg, tiny_state.teacher, img)[0]
     with Tape() as tape:
         s_out = encode(cfg, tiny_state.student, img)
-        z = tz.matmul(Tensor(t_out), tz.transpose(s_out))
+        z = tz.matmul(Tensor(t_out), tz.swapaxes(s_out, 0, 1))
         backward(weigh(z, np.ones(z.size)))
     assert len(tape) == 0
     assert tiny_state.student["embed.w"].grad is not None
@@ -196,7 +207,16 @@ def _header_bounds(raw: bytes) -> tuple[int, int]:
     return 16, 16 + hlen
 
 
-@pytest.mark.parametrize("case", ["json", "utf8", "not_dict", "no_blobs"])
+# a header that lacks a key: the key, and the edit that removes it
+_MISSING_KEY = {
+    "no_shape": ("shape", lambda h: h["blobs"][0].pop("shape")),
+    "no_config": ("config", lambda h: h.pop("config")),
+    "no_center": ("center", lambda h: h["blobs"].pop(
+        next(i for i, b in enumerate(h["blobs"]) if b["name"] == "center"))),
+}
+
+
+@pytest.mark.parametrize("case", ["json", "utf8", "not_dict", "no_blobs", *_MISSING_KEY])
 def test_checkpoint_with_corrupt_header_names_file(tiny_state, tmp_path, case):
     path = tmp_path / "state.ace"
     model.save_state(path, tiny_state)
@@ -206,6 +226,10 @@ def test_checkpoint_with_corrupt_header_names_file(tiny_state, tmp_path, case):
         head = b"#" + raw[lo + 1:hi]
     elif case == "utf8":
         head = b"\xff" + raw[lo + 1:hi]
+    elif case in _MISSING_KEY:
+        doc = json.loads(raw[lo:hi])
+        _MISSING_KEY[case][1](doc)
+        head = json.dumps(doc).encode().ljust(hi - lo)
     else:
         doc = [] if case == "not_dict" else {"config": {}, "step": 0}
         head = json.dumps(doc).encode().ljust(hi - lo)
@@ -214,6 +238,8 @@ def test_checkpoint_with_corrupt_header_names_file(tiny_state, tmp_path, case):
     with pytest.raises(FormatError) as exc:
         model.load_state(path)
     assert str(path) in str(exc.value)
+    if case in _MISSING_KEY:
+        assert repr(_MISSING_KEY[case][0]) in str(exc.value)
 
 
 def test_checkpoint_names_unknown_config_keys(tiny_state, tmp_path):

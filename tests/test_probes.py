@@ -108,6 +108,13 @@ def test_correspondence_same_image_oracle(probe_state, probe_phantoms):
         pb.correspondence_probe(probe_state, [ph], [ph], window=999, stride=1)
 
 
+def test_correspondence_refuses_empty_lists(probe_state, probe_phantoms):
+    ph = probe_phantoms[0]
+    for queries, keys, arg in (([], [ph], "queries"), ([ph], [], "keys")):
+        with pytest.raises(ParameterError, match=f"{arg} is empty"):
+            pb.correspondence_probe(probe_state, queries, keys, window=48, stride=8)
+
+
 def test_symmetry_probe_on_clean_phantoms(probe_state):
     spec = PhantomSpec(side=128, jitter_translate=0.0, jitter_scale=0.0,
                        intensity_noise=0.0, texture_amp=0.0, bg_jitter=0.0,

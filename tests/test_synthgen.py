@@ -166,6 +166,20 @@ def test_manifest_missing_file_names_record(tmp_path):
     assert meta[0].instance_id == "gone"
 
 
+@pytest.mark.parametrize("column, value", [("left_rib2_y", "abc"), ("seed", "1.5")])
+def test_manifest_bad_number_names_line_and_column(tmp_path, column, value):
+    phantoms = [generate(np.random.default_rng(i), PhantomSpec(side=32), instance_id=f"p{i}",
+                         seed=i) for i in range(2)]
+    manifest = build_manifest(tmp_path, phantoms)
+    lines = manifest.read_text().splitlines()
+    row = lines[2].split("\t")
+    row[lines[0].split("\t").index(column)] = value
+    lines[2] = "\t".join(row)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=rf"manifest\.tsv:3: column '{column}' .*'{value}'"):
+        load_manifest(manifest, load_images=False)
+
+
 def test_instance_rng_streams_are_stable_and_distinct():
     a1, _ = instance_rng(5, 3)
     a2, _ = instance_rng(5, 3)

@@ -30,9 +30,8 @@ def test_forward_values_match_numpy():
     assert np.allclose(tz.silu(Tensor(a)).data, a / (1 + np.exp(-a)))
     m = _rand(4, 5)
     assert np.allclose(tz.matmul(Tensor(a), Tensor(m)).data, a @ m)
-    assert np.allclose(tz.transpose(Tensor(a)).data, a.T)
+    assert np.allclose(tz.swapaxes(Tensor(a), 0, 1).data, a.T)
     assert np.allclose(tz.reshape(Tensor(a), (4, 3)).data, a.reshape(4, 3))
-    assert np.allclose(tz.take_rows(Tensor(a), [2, 0, 0]).data, a[[2, 0, 0]])
     v = _rand(4)
     assert np.allclose(tz.add_rowvec(Tensor(a), Tensor(v)).data, a + v)
     assert np.allclose(tz.mul_rowvec(Tensor(a), Tensor(v)).data, a * v)
@@ -96,16 +95,13 @@ _PER_OP = {
     "silu-<lambda>-shape7": "silu",
     "matmul_a-<lambda>-shape8": "matmul",
     "matmul_b-<lambda>-shape9": "matmul_const_left",
-    "transpose-<lambda>-shape10": "transpose",
+    "transpose-<lambda>-shape10": "swapaxes",
     "reshape-<lambda>-shape11": "reshape",
-    "take_rows-<lambda>-shape12": "take_rows_repeat",
     "add_rowvec-<lambda>-shape13": "add_rowvec_batch",
     "mul_rowvec_m-<lambda>-shape14": "mul_rowvec",
     "mul_rowvec_v-<lambda>-shape15": "mul_rowvec_batch_v",
     "row_norm-<lambda>-shape16": "row_norm",
     "pool-<lambda>-shape19": "masked_mean_pool",
-    "take_rows_perm-<lambda>-shape20": "take_rows_perm",
-    "take_rows_perm_batch-<lambda>-shape21": "take_rows_perm_batch",
 }
 
 
@@ -132,19 +128,13 @@ def test_backward_accumulates_and_clears_tape():
     assert len(tape) == 0
 
 
-def test_take_rows_permutation_backward_matches_scatter():
-    # a permutation's gradient is undone by gather; it must equal the
-    # accumulating scatter bit for bit
-    rng = np.random.default_rng(4)
-    for shape in ((6, 3), (2, 6, 3)):
-        perm = rng.permutation(6)
-        w = rng.normal(size=shape)
-        with Tape():
-            x = Tensor(rng.normal(size=shape), requires_grad=True)
-            backward(weigh(tz.take_rows(x, perm), w))
-        ref = np.zeros(shape)
-        np.add.at(ref, (slice(None),) * (len(shape) - 2) + (perm,), w)
-        assert np.array_equal(x.grad, ref)
+def test_swapaxes_is_contiguous_and_names_the_shape_on_a_bad_axis():
+    x = _rand(2, 3, 4)
+    out = tz.swapaxes(Tensor(x), 0, -1).data
+    assert np.array_equal(out, np.swapaxes(x, 0, -1)) and out.flags.c_contiguous
+    for axes in ((0, 3), (-4, 1)):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\)"):
+            tz.swapaxes(Tensor(x), *axes)
 
 
 def test_constants_record_nothing():
@@ -258,7 +248,7 @@ def test_diamond_graph_exact_and_no_gradient_written_in_place(monkeypatch):
         x = Tensor(_rand(3, 4), requires_grad=True)
         a = tz.add(x, x)  # x reached twice, one g for both parents
         c1 = tz.scale(a, 3.0)
-        c2 = tz.transpose(tz.transpose(tz.scale(a, 0.5)))  # views of g flow back
+        c2 = tz.swapaxes(tz.swapaxes(tz.scale(a, 0.5), 0, 1), 0, 1)  # views of g flow back
         h = tz.add(c1, c2)  # a feeds two consumers, which share one g
         backward(weigh(h, w))
     assert np.array_equal(x.grad, 7.0 * w)

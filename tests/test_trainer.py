@@ -277,6 +277,36 @@ def test_resume_reproduces_uninterrupted_stream(tmp_path):
     assert resumed == full
 
 
+def test_resume_drops_a_torn_last_metrics_line(tmp_path):
+    """An interrupted write can leave part of a record after the checkpoint;
+    resume drops it, and an unreadable complete line is refused by name."""
+    manifest = _tiny_dataset(tmp_path)
+    train_loop(_tiny_run_cfg(epochs=2), manifest, tmp_path / "full")
+    full = (tmp_path / "full" / "metrics.jsonl").read_bytes()
+    part = tmp_path / "part"
+
+    def interrupt(epoch, state):
+        if epoch == 0:
+            raise _Interrupt
+
+    with pytest.raises(_Interrupt):
+        train_loop(_tiny_run_cfg(epochs=2), manifest, part, progress=interrupt)
+    metrics = part / "metrics.jsonl"
+    kept = metrics.read_bytes()
+    torn = full[len(kept):len(kept) + 30]
+    assert b"\n" not in torn
+    metrics.write_bytes(kept + torn)
+    train_loop(_tiny_run_cfg(epochs=2), manifest, part, resume_from=part / "checkpoint.ace")
+    assert metrics.read_bytes() == full
+
+    # ended by a newline, the same piece is a complete line that does not parse
+    metrics.write_bytes(kept + torn + b"\n")
+    lineno = len(kept.splitlines()) + 1
+    with pytest.raises(AceError, match=rf"metrics\.jsonl:{lineno}: "):
+        train_loop(_tiny_run_cfg(epochs=2), manifest, part,
+                   resume_from=part / "checkpoint.ace")
+
+
 def test_checkpoint_carries_rng_and_optimizer(tmp_path):
     manifest = _tiny_dataset(tmp_path)
     cfg = _tiny_run_cfg(epochs=1)
