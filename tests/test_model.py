@@ -77,38 +77,54 @@ def test_patch_order_is_row_major(tiny_cfg):
             assert out[r, c] == img[2 * r:2 * r + 2, 2 * c:2 * c + 2].sum()
 
 
-@pytest.mark.parametrize("t", [4, 8, 14])
-def test_head_regroup_against_reference(t, monkeypatch):
+def _labelled_heads(t, monkeypatch):
     """Index-labelled tokens through heads whose MLPs are made known affine
-    maps show where the 2x2 regroup sends each row; explicit loops give the
-    reference layout."""
+    maps show where the 2x2 regroup sends each row: token i holds i, and chunk
+    j of decomposed token i holds 4i + j. Returns the outputs for one map and
+    for a batch of two."""
     monkeypatch.setattr(tz, "linear", lambda x, w, b: Tensor(x.data @ w + b))
     monkeypatch.setattr(tz, "silu", lambda x: x)
     n, eye, zero = t * t, np.eye(4), np.zeros(4)
-    labels = np.arange(n, dtype=float)[:, None]  # K = 1, token i holds i
+    labels = np.arange(n, dtype=float)[:, None]  # K = 1
     comp_params = {"comp.w1": eye, "comp.b1": zero, "comp.w2": eye, "comp.b2": zero}
     dec_params = {"decomp.w1": np.full((1, 4), 4.0), "decomp.b1": np.arange(4.0),
-                  "decomp.w2": eye, "decomp.b2": zero}  # chunk j of token i holds 4i + j
-    comp = model.compose_head(comp_params, Tensor(labels)).data
-    dec = model.decompose_head(dec_params, Tensor(labels)).data
-    assert comp.shape == (n // 4, 4) and dec.shape == (4 * n, 1)
-    # composed cell (br, bc) concatenates the tokens of its 2x2 footprint
-    for block in range(n // 4):
-        br, bc = divmod(block, t // 2)
-        expect = [2 * br * t + 2 * bc, 2 * br * t + 2 * bc + 1,
-                  (2 * br + 1) * t + 2 * bc, (2 * br + 1) * t + 2 * bc + 1]
-        assert list(comp[block]) == expect
-    # sub-token (rr, cc) of the 2T x 2T grid is chunk (rr % 2, cc % 2) of
-    # token (rr // 2, cc // 2)
-    for rr in range(2 * t):
-        for cc in range(2 * t):
-            src_token = (rr // 2) * t + (cc // 2)
-            sub = (rr % 2) * 2 + (cc % 2)
-            assert dec[rr * 2 * t + cc, 0] == 4 * src_token + sub
-    # a leading batch axis passes through both
+                  "decomp.w2": eye, "decomp.b2": zero}
     batch = Tensor(np.stack([labels, labels + n]))
-    assert np.array_equal(model.compose_head(comp_params, batch).data, [comp, comp + n])
-    assert np.array_equal(model.decompose_head(dec_params, batch).data, [dec, dec + 4 * n])
+    return ((model.compose_head(comp_params, Tensor(labels)).data,
+             model.compose_head(comp_params, batch).data),
+            (model.decompose_head(dec_params, Tensor(labels)).data,
+             model.decompose_head(dec_params, batch).data))
+
+
+def test_compose_gather_against_reference(monkeypatch):
+    for t in (4, 8, 14):
+        (comp, comp_batch), _ = _labelled_heads(t, monkeypatch)
+        n = t * t
+        assert comp.shape == (n // 4, 4)
+        # independent reference: composed cell (br, bc) concatenates the
+        # tokens of its 2x2 footprint
+        for block in range(n // 4):
+            br, bc = divmod(block, t // 2)
+            expect = [2 * br * t + 2 * bc, 2 * br * t + 2 * bc + 1,
+                      (2 * br + 1) * t + 2 * bc, (2 * br + 1) * t + 2 * bc + 1]
+            assert list(comp[block]) == expect
+        # a leading batch axis passes through
+        assert np.array_equal(comp_batch, [comp, comp + n])
+
+
+def test_decompose_scatter_against_reference(monkeypatch):
+    for t in (4, 8, 14):
+        _, (dec, dec_batch) = _labelled_heads(t, monkeypatch)
+        n = t * t
+        assert dec.shape == (4 * n, 1)
+        # sub-token (rr, cc) of the 2T x 2T grid is chunk (rr % 2, cc % 2) of
+        # token (rr // 2, cc // 2)
+        for rr in range(2 * t):
+            for cc in range(2 * t):
+                src_token = (rr // 2) * t + (cc // 2)
+                sub = (rr % 2) * 2 + (cc % 2)
+                assert dec[rr * 2 * t + cc, 0] == 4 * src_token + sub
+        assert np.array_equal(dec_batch, [dec, dec + 4 * n])
 
 
 def test_head_shapes_and_grad_flow(tiny_state):
