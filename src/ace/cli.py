@@ -14,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gradcases
+from . import gradcases, model
 from . import probes as pb
 from .config import load_config, write_snapshot
 from .errors import AceError
 from .pixelcheck import verify_geometry
 from .synthgen import generate_dataset, load_manifest
-from .trainer import load_checkpoint, train_loop
+from .trainer import train_loop
 
 PROBE_NAMES = ("compositionality", "decompositionality", "retrieval",
                "correspondence", "symmetry", "separability")
@@ -81,7 +81,7 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_probe(args) -> int:
     cfg, out = _resolve(args)
-    state, _, _, _ = load_checkpoint(args.ckpt)
+    state, _, _ = model.load_state(args.ckpt)
     phantoms = load_manifest(args.manifest)
     rng = np.random.default_rng(cfg.seed)
     name = args.name

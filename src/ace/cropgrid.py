@@ -1,10 +1,10 @@
-"""Grid-wise image cropping: aligned crop pairs, overlap index sets and masks.
+"""Grid-wise image cropping: aligned crop pairs, their overlap masks, resize.
 
 Images are plain 2-d float arrays with intensities in [0, 1].  Grid
 coordinates follow an (x, y) = (column, row) convention; token coordinates
 inside a crop are (row, col).  A C1 token covers exactly one grid patch, a
 C2 token covers a 2x2 block of grid patches, so in the overlap four C1
-tokens tile each C2 token.
+tokens tile each C2 token; which four is `model.group_blocks`.
 """
 
 from __future__ import annotations
@@ -48,23 +48,20 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CropPair:
-    """A sampled (C1, C2) pair with exact overlap bookkeeping.
+    """A sampled (C1, C2) pair: grid anchors and T x T int8 overlap masks.
 
-    idx1/idx2 are row-major flat token indices of the overlap; entry i of
-    idx2 corresponds to entries 4i..4i+3 of idx1 in the fixed sub-order
-    top-left, top-right, bottom-left, bottom-right.
+    O1 is all ones (C1 lies inside C2); O2 marks (T/2) x (T/2) C2 tokens, the
+    i-th of which (row-major) is tiled by the i-th 2x2 block of C1 tokens.
     """
 
     anchor1: tuple[int, int]
     anchor2: tuple[int, int]
-    idx1: tuple[int, ...] = field(repr=False)
-    idx2: tuple[int, ...] = field(repr=False)
     O1: np.ndarray = field(repr=False)
     O2: np.ndarray = field(repr=False)
 
 
 def compute_overlap(spec: GridSpec, anchor1: tuple[int, int], anchor2: tuple[int, int]):
-    """Overlap index sets and token masks for a C1-inside-C2 anchor pair."""
+    """Token overlap masks (O1, O2) for a C1-inside-C2 anchor pair."""
     x1, y1 = anchor1
     x2, y2 = anchor2
     dx, dy = x1 - x2, y1 - y2
@@ -72,23 +69,10 @@ def compute_overlap(spec: GridSpec, anchor1: tuple[int, int], anchor2: tuple[int
         raise AlignmentError(f"anchor offset ({dx}, {dy}) must be even on both axes")
     if dx < 0 or dy < 0 or x1 + spec.c1 > x2 + spec.c2 or y1 + spec.c1 > y2 + spec.c2:
         raise GeometryError(f"C1 at {anchor1} does not lie inside C2 at {anchor2}")
-    T = spec.T
-    half = T // 2
-    ox, oy = dx // 2, dy // 2
-
-    O1 = np.ones((T, T), dtype=np.int8)
-    O2 = np.zeros((T, T), dtype=np.int8)
-    O2[oy:oy + half, ox:ox + half] = 1
-
-    idx2 = []
-    idx1 = []
-    for r in range(oy, oy + half):
-        for c in range(ox, ox + half):
-            idx2.append(r * T + c)
-            r1, c1 = 2 * (r - oy), 2 * (c - ox)
-            idx1.extend([r1 * T + c1, r1 * T + c1 + 1,
-                         (r1 + 1) * T + c1, (r1 + 1) * T + c1 + 1])
-    return tuple(idx1), tuple(idx2), O1, O2
+    t, ox, oy = spec.T, dx // 2, dy // 2
+    O2 = np.zeros((t, t), dtype=np.int8)
+    O2[oy:oy + t // 2, ox:ox + t // 2] = 1
+    return np.ones((t, t), dtype=np.int8), O2
 
 
 def sample_crop_pair(rng: np.random.Generator, spec: GridSpec) -> CropPair:
@@ -101,8 +85,8 @@ def sample_crop_pair(rng: np.random.Generator, spec: GridSpec) -> CropPair:
     v = int(rng.integers(0, limu + 1))
     anchor2 = (x2, y2)
     anchor1 = (x2 + 2 * u, y2 + 2 * v)
-    idx1, idx2, O1, O2 = compute_overlap(spec, anchor1, anchor2)
-    return CropPair(anchor1=anchor1, anchor2=anchor2, idx1=idx1, idx2=idx2, O1=O1, O2=O2)
+    O1, O2 = compute_overlap(spec, anchor1, anchor2)
+    return CropPair(anchor1=anchor1, anchor2=anchor2, O1=O1, O2=O2)
 
 
 def _bilinear_resize(src: np.ndarray, out_side: int) -> np.ndarray:

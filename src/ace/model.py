@@ -147,10 +147,26 @@ def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor],
     return encode(cfg, params, images if images.ndim == 3 else images[None]).data
 
 
-def _swap_blocks(x: Tensor, view, out) -> Tensor:
-    """Reshape to `view`, swap axes -4 and -3, reshape to `out`: the swap turns a
-    row-major (A, 2, B, 2) token grid into (A, B, 2, 2) blocks of members, and back."""
-    return tz.reshape(tz.swapaxes(tz.reshape(x, view), -4, -3), out)
+def group_blocks(x: Tensor) -> Tensor:
+    """(..., N, K) on a T x T token grid -> (..., N/4, 4K): the 2x2 blocks in
+    row-major order, each its members' concatenation in row-major sub-order."""
+    *lead, n, k = x.data.shape
+    t = int(np.sqrt(n))
+    if t * t != n or t % 2 != 0:
+        raise ShapeError(f"group_blocks: token count {n} is not an even square")
+    blocks = tz.swapaxes(tz.reshape(x, (*lead, t // 2, 2, t // 2, 2, k)), -4, -3)
+    return tz.reshape(blocks, (*lead, n // 4, 4 * k))
+
+
+def ungroup_blocks(x: Tensor) -> Tensor:
+    """(..., N, 4K) on a T x T token grid -> (..., 4N, K) on the 2T x 2T
+    sub-cell grid: the inverse of `group_blocks` on that grid."""
+    *lead, n, k4 = x.data.shape
+    t = int(np.sqrt(n))
+    if t * t != n:
+        raise ShapeError(f"ungroup_blocks: token count {n} is not a square")
+    cells = tz.swapaxes(tz.reshape(x, (*lead, t, t, 2, 2, k4 // 4)), -4, -3)
+    return tz.reshape(cells, (*lead, 4 * n, k4 // 4))
 
 
 def compose_head(params: dict[str, Tensor], tokens: Tensor) -> Tensor:
@@ -159,12 +175,7 @@ def compose_head(params: dict[str, Tensor], tokens: Tensor) -> Tensor:
     Input N x K with T x T layout; output (N/4) x K with (T/2) x (T/2) layout.
     A leading batch axis passes through.
     """
-    *lead, n, k = tokens.data.shape
-    t = int(np.sqrt(n))
-    if t * t != n or t % 2 != 0:
-        raise ShapeError(f"compose_head: token count {n} is not an even square")
-    grouped = _swap_blocks(tokens, (*lead, t // 2, 2, t // 2, 2, k), (*lead, n // 4, 4 * k))
-    y = tz.silu(tz.linear(grouped, params["comp.w1"], params["comp.b1"]))
+    y = tz.silu(tz.linear(group_blocks(tokens), params["comp.w1"], params["comp.b1"]))
     return tz.linear(y, params["comp.w2"], params["comp.b2"])
 
 
@@ -174,13 +185,8 @@ def decompose_head(params: dict[str, Tensor], tokens: Tensor) -> Tensor:
     Input N x K with T x T layout; output 4N x K with (2T) x (2T) layout.
     A leading batch axis passes through.
     """
-    *lead, n, k = tokens.data.shape
-    t = int(np.sqrt(n))
-    if t * t != n:
-        raise ShapeError(f"decompose_head: token count {n} is not a square")
     y = tz.silu(tz.linear(tokens, params["decomp.w1"], params["decomp.b1"]))
-    y = tz.linear(y, params["decomp.w2"], params["decomp.b2"])
-    return _swap_blocks(y, (*lead, t, t, 2, 2, k), (*lead, 4 * n, k))
+    return ungroup_blocks(tz.linear(y, params["decomp.w2"], params["decomp.b2"]))
 
 
 def global_head(params: dict[str, Tensor], pooled: Tensor) -> Tensor:

@@ -1,18 +1,21 @@
 """Pixel-rectangle oracle for the crop-overlap geometry.
 
-This path is deliberately independent of `cropgrid.compute_overlap`: every
-token's pixel footprint is laid out as an integer rectangle, all of them are
-intersected at once with broadcast min/max arithmetic, and the overlap sets
-are read off the areas; then the two derivations are compared exactly.
+This path is deliberately independent of `cropgrid.compute_overlap` and
+`model.group_blocks`: token pixel footprints are integer rectangles, all
+intersected at once with broadcast min/max arithmetic; the overlap masks and
+each C2 token's four C1 tokens are read off the areas and compared exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
+from . import model
 from .cropgrid import CropPair, GridSpec, sample_crop_pair
+from .tensor import Tensor
 
 
 def _rect(x0, y0, size) -> np.ndarray:
@@ -39,10 +42,10 @@ def _area(r: np.ndarray) -> np.ndarray:
 
 
 def overlap_via_pixels(spec: GridSpec, anchor1, anchor2):
-    """Overlap index sets derived purely from pixel rectangles.
+    """Overlap masks and token tiling derived purely from pixel rectangles.
 
-    Returns (idx1, idx2, O1, O2, matches) where matches[i] is the tuple of
-    four C1 token indices tiling the i-th overlapped C2 token.
+    Returns (O1, O2, members): members[i] holds the four C1 token indices
+    tiling the i-th overlapped C2 token (row-major), in row-major sub-order.
     """
     m, t = spec.m, spec.T
     crop1 = _rect(anchor1[0] * m, anchor1[1] * m, spec.c1 * m)
@@ -73,8 +76,7 @@ def overlap_via_pixels(spec: GridSpec, anchor1, anchor2):
     members = cand[np.nonzero(inside)[1]]
     if not np.array_equal(np.sort(members), o1_idx):
         raise AssertionError("C1 overlap tokens must exactly tile the C2 side")
-    matches = tuple(map(tuple, members.reshape(-1, 4).tolist()))
-    return tuple(members.tolist()), tuple(idx2.tolist()), O1, O2, matches
+    return O1, O2, members.reshape(-1, 4)
 
 
 @dataclass
@@ -87,20 +89,24 @@ class GeometryReport:
         return not self.failures
 
 
+@lru_cache(maxsize=None)
+def _block_members(t: int) -> np.ndarray:
+    """Training's 2x2 regroup of a T x T grid's token indices, one row per block."""
+    return model.group_blocks(Tensor(np.arange(t * t)[:, None])).data
+
+
 def check_pair(spec: GridSpec, pair: CropPair) -> list[str]:
     """Compare one sampled pair against the pixel oracle; returns mismatch notes."""
     notes = []
-    idx1, idx2, O1, O2, _ = overlap_via_pixels(spec, pair.anchor1, pair.anchor2)
-    if idx1 != pair.idx1:
-        notes.append(f"idx1 mismatch at anchors {pair.anchor1}/{pair.anchor2}")
-    if idx2 != pair.idx2:
-        notes.append(f"idx2 mismatch at anchors {pair.anchor1}/{pair.anchor2}")
+    O1, O2, members = overlap_via_pixels(spec, pair.anchor1, pair.anchor2)
+    if not np.array_equal(members, _block_members(spec.T)):
+        notes.append(f"2x2 regroup mismatch at anchors {pair.anchor1}/{pair.anchor2}")
     if not np.array_equal(O1, pair.O1):
         notes.append(f"O1 mismatch at anchors {pair.anchor1}/{pair.anchor2}")
     if not np.array_equal(O2, pair.O2):
         notes.append(f"O2 mismatch at anchors {pair.anchor1}/{pair.anchor2}")
-    if len(pair.idx1) != 4 * len(pair.idx2):
-        notes.append(f"|idx1| != 4*|idx2| at anchors {pair.anchor1}/{pair.anchor2}")
+    if pair.O1.sum() != 4 * pair.O2.sum():
+        notes.append(f"|O1| != 4*|O2| at anchors {pair.anchor1}/{pair.anchor2}")
     return notes
 
 
@@ -108,17 +114,16 @@ def verify_geometry(spec: GridSpec, samples: int, seed: int,
                     corrupt: bool = False) -> GeometryReport:
     """Sample pairs and check each against the oracle.
 
-    `corrupt` is a test hook that shifts C1's anchor by one patch, breaking
-    even alignment, to prove the oracle actually rejects bad geometry.
+    `corrupt` is a test hook that shifts C1's anchor by one patch (left at the
+    grid's edge), breaking even alignment, to prove the oracle rejects bad geometry.
     """
     rng = np.random.default_rng(seed)
     failures = []
     for _ in range(samples):
         pair = sample_crop_pair(rng, spec)
         if corrupt:
-            ax = min(pair.anchor1[0] + 1, spec.G - spec.c1)
-            bad = CropPair(anchor1=(ax, pair.anchor1[1]), anchor2=pair.anchor2,
-                           idx1=pair.idx1, idx2=pair.idx2, O1=pair.O1, O2=pair.O2)
+            x, y = pair.anchor1
+            bad = replace(pair, anchor1=(x + 1 if x + spec.c1 < spec.G else x - 1, y))
             try:
                 notes = check_pair(spec, bad)
             except AssertionError as exc:

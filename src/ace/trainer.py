@@ -287,11 +287,12 @@ def save_checkpoint(path, state: model.EncoderState, opt: AdamW,
 def load_checkpoint(path):
     """Returns (state, optimizer, rng, run_config)."""
     state, extra, extra_arrays = model.load_state(path)
-    cfg = model.config_from_header(RunConfig, extra["run_config"], path)
+    what = "the header's extra"
+    cfg = model.config_from_header(RunConfig, model._field(extra, "run_config", path, what), path)
     opt = AdamW(state.student)
-    opt.load_state_arrays(extra_arrays, int(extra["opt_t"]))
+    opt.load_state_arrays(extra_arrays, int(model._field(extra, "opt_t", path, what)))
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = json.loads(extra["rng_state"])
+    rng.bit_generator.state = json.loads(model._field(extra, "rng_state", path, what))
     return state, opt, rng, cfg
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import ace.tensor as tz
 from ace.cli import main
-from ace.model import read_blob_file, write_blob_file
+from ace.model import load_state, read_blob_file, save_state, write_blob_file
 from ace.synthgen import load_manifest
 
 
@@ -120,6 +120,12 @@ def test_geom_verify_command(tmp_path, capsys):
     summary = capsys.readouterr().err.strip().splitlines()[-1]
     assert re.fullmatch(r"geom-verify: 20 pairs, [1-9][0-9]* failures, [0-9.]+ s, "
                         r"[0-9]+ pairs/s", summary), summary
+    # seed 0's first pair has C1 at the grid's right edge: the corruption
+    # shifts it left instead of leaving it whole
+    assert main(["geom-verify", "--out", str(tmp_path / "g"), "--samples", "1",
+                 "--seed", "0", "--corrupt"]) == 0
+    summary = capsys.readouterr().err.strip().splitlines()[-1]
+    assert summary.startswith("geom-verify: 1 pairs, 1 failures, "), summary
 
 
 def test_domain_error_exit_code(tmp_path):
@@ -139,11 +145,29 @@ def test_checkpoint_with_retired_key_exit_code(workspace, tmp_path, capsys):
     header["extra"]["run_config"]["threads"] = 1
     ckpt = tmp_path / "old.ace"
     write_blob_file(ckpt, header, arrays)
-    code = main(["probe", "symmetry", "--out", str(tmp_path / "p"), "--ckpt", str(ckpt),
-                 "--manifest", str(manifest), "--samples", "1"] + tiny)
+    code = main(["pretrain", "--out", str(tmp_path / "r"), "--manifest", str(manifest),
+                 "--resume", str(ckpt)] + tiny)
     assert code == 1
     err = capsys.readouterr().err
     assert str(ckpt) in err and "'threads'" in err
+
+
+def test_model_only_checkpoint(workspace, tmp_path, capsys):
+    """A file `save_state` wrote without run state scores under `probe`, and
+    a resume from it fails by naming the file and the missing key."""
+    root, manifest, tiny = workspace
+    state, _, _ = load_state(root / "run" / "checkpoint.ace")
+    ckpt = tmp_path / "model.ace"
+    save_state(ckpt, state)
+    assert main(["probe", "symmetry", "--out", str(tmp_path / "p"), "--ckpt", str(ckpt),
+                 "--manifest", str(manifest), "--samples", "1"] + tiny) == 0
+    capsys.readouterr()
+    code = main(["pretrain", "--out", str(tmp_path / "r"), "--manifest", str(manifest),
+                 "--resume", str(ckpt)] + tiny)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "'run_config'" in err
+    assert "Traceback" not in err
 
 
 def test_checkpoint_with_corrupt_header_exit_code(workspace, tmp_path, capsys):

@@ -13,11 +13,13 @@ import pytest
 import reference
 
 import ace
+import ace.model as model
+import ace.tensor as tz
 from ace.cropgrid import (GridSpec, compute_overlap, extract_and_resize, resize,
                           sample_crop_pair)
 from ace.errors import AlignmentError, GeometryError, ParameterError, ShapeError
 from ace.objective import build_target
-from ace.pixelcheck import _token_rects, overlap_via_pixels, verify_geometry
+from ace.pixelcheck import _block_members, _token_rects, overlap_via_pixels, verify_geometry
 
 
 def test_spec_validation():
@@ -40,20 +42,21 @@ def test_overlap_matches_pixel_oracle_exhaustively(desk_spec, paper_spec):
     for spec in (desk_spec, paper_spec):
         lim2 = spec.G - spec.c2
         limu = (spec.c2 - spec.c1) // 2
+        regroup = _block_members(spec.T)
         for x2 in range(lim2 + 1):
             for y2 in range(lim2 + 1):
                 for u in range(limu + 1):
                     for v in range(limu + 1):
                         a1 = (x2 + 2 * u, y2 + 2 * v)
                         a2 = (x2, y2)
-                        idx1, idx2, O1, O2 = compute_overlap(spec, a1, a2)
-                        e1, e2, eO1, eO2, matches = overlap_via_pixels(spec, a1, a2)
-                        assert idx1 == e1 and idx2 == e2
+                        O1, O2 = compute_overlap(spec, a1, a2)
+                        eO1, eO2, members = overlap_via_pixels(spec, a1, a2)
                         assert np.array_equal(O1, eO1) and np.array_equal(O2, eO2)
                         assert eO1.dtype == eO2.dtype == np.int8
-                        assert all(type(i) is int for i in e1 + e2)
-                        assert len(idx1) == 4 * len(idx2)
-                        assert matches == tuple(zip(*[iter(e1)] * 4))
+                        assert O1.sum() == 4 * O2.sum()
+                        assert members.dtype.kind == "i"
+                        assert members.shape == (O2.sum(), 4)
+                        assert np.array_equal(members, regroup)
 
 
 def test_pixel_oracle_rejects_partial_token_overlap(desk_spec):
@@ -84,15 +87,16 @@ def test_pixel_oracle_checks_survive_optimize_flag():
 
 
 def test_overlap_sub_order_is_row_major(desk_spec):
-    idx1, idx2, _, _ = compute_overlap(desk_spec, (2, 2), (0, 0))
+    _, _, members = overlap_via_pixels(desk_spec, (2, 2), (0, 0))
     t = desk_spec.T
-    for i, flat2 in enumerate(idx2):
-        quad = idx1[4 * i:4 * i + 4]
-        rows = [q // t for q in quad]
-        cols = [q % t for q in quad]
-        # top-left, top-right, bottom-left, bottom-right
-        assert rows[0] == rows[1] and rows[2] == rows[3] == rows[0] + 1
-        assert cols[0] == cols[2] and cols[1] == cols[3] == cols[0] + 1
+    for quads in (members, _block_members(t)):
+        assert len(quads) == (t // 2) ** 2
+        for quad in quads:
+            rows = [q // t for q in quad]
+            cols = [q % t for q in quad]
+            # top-left, top-right, bottom-left, bottom-right
+            assert rows[0] == rows[1] and rows[2] == rows[3] == rows[0] + 1
+            assert cols[0] == cols[2] and cols[1] == cols[3] == cols[0] + 1
 
 
 def test_overlap_error_cases(desk_spec):
@@ -122,7 +126,25 @@ def test_verify_geometry_clean_and_corrupt(desk_spec, paper_spec):
         assert verify_geometry(spec, 100, seed=1).ok
         # injected odd-alignment corruption must be caught
         report = verify_geometry(spec, 50, seed=1, corrupt=True)
-        assert report.failures
+        assert len(report.failures) == 50
+        assert all("oracle rejection" in note for note in report.failures)
+
+
+def test_verify_geometry_catches_a_broken_regroup(desk_spec, monkeypatch):
+    """The gate checks the regroup the heads run: grouping consecutive tokens
+    instead of 2x2 blocks fails every pair."""
+    def consecutive(x):
+        *lead, n, k = x.data.shape
+        return tz.reshape(x, (*lead, n // 4, 4 * k))
+
+    monkeypatch.setattr(model, "group_blocks", consecutive)
+    _block_members.cache_clear()
+    try:
+        report = verify_geometry(desk_spec, 100, seed=1)
+    finally:
+        _block_members.cache_clear()
+    assert len(report.failures) == 100
+    assert all("2x2 regroup mismatch" in note for note in report.failures)
 
 
 def test_resize_identity_and_box_average():
@@ -205,17 +227,19 @@ def test_token_to_grid(desk_spec):
 
 
 def test_crop_pair_token_footprints_agree(desk_spec):
-    """Matched C1/C2 tokens must cover the same grid patches."""
+    """The i-th overlapped C2 token and the C1 tokens of the heads' i-th 2x2
+    block must cover the same grid patches."""
     rng = np.random.default_rng(9)
     t = desk_spec.T
+    regroup = _block_members(t).astype(int)
     for _ in range(20):
         pair = sample_crop_pair(rng, desk_spec)
-        for i, flat2 in enumerate(pair.idx2):
+        for flat2, quad in zip(np.flatnonzero(pair.O2), regroup, strict=True):
             (gx2, gy2), ext = reference.token_to_grid("C2", pair.anchor2,
                                                       (flat2 // t, flat2 % t))
             covered2 = {(gx2 + dx, gy2 + dy) for dx in range(ext) for dy in range(ext)}
             covered1 = set()
-            for flat1 in pair.idx1[4 * i:4 * i + 4]:
+            for flat1 in quad:
                 (gx1, gy1), _ = reference.token_to_grid("C1", pair.anchor1,
                                                         (flat1 // t, flat1 % t))
                 covered1.add((gx1, gy1))

@@ -127,6 +127,24 @@ def test_decompose_scatter_against_reference(monkeypatch):
         assert np.array_equal(dec_batch, [dec, dec + 4 * n])
 
 
+def test_ungroup_blocks_inverts_group_blocks():
+    """On the 2T x 2T sub-cell grid, ungroup_blocks undoes group_blocks
+    exactly, batched too, and group_blocks undoes ungroup_blocks."""
+    rng = np.random.default_rng(4)
+    for t in (4, 8, 14):
+        cells = rng.normal(size=(2, 4 * t * t, 3))
+        grouped = model.group_blocks(Tensor(cells))
+        assert grouped.data.shape == (2, t * t, 12)
+        assert np.array_equal(model.ungroup_blocks(grouped).data, cells)
+        tokens = rng.normal(size=(t * t, 12))
+        assert np.array_equal(
+            model.group_blocks(model.ungroup_blocks(Tensor(tokens))).data, tokens)
+    with pytest.raises(ShapeError, match="group_blocks"):
+        model.group_blocks(Tensor(np.zeros((9, 1))))
+    with pytest.raises(ShapeError, match="ungroup_blocks"):
+        model.ungroup_blocks(Tensor(np.zeros((8, 4))))
+
+
 def test_head_shapes_and_grad_flow(tiny_state):
     cfg = tiny_state.config
     n, k = cfg.n_tokens, cfg.K

@@ -15,8 +15,8 @@ from ace.tensor import Tape, Tensor, backward, grad_check
 
 
 def _pair(spec, a1, a2):
-    idx1, idx2, O1, O2 = compute_overlap(spec, a1, a2)
-    return CropPair(anchor1=a1, anchor2=a2, idx1=idx1, idx2=idx2, O1=O1, O2=O2)
+    O1, O2 = compute_overlap(spec, a1, a2)
+    return CropPair(anchor1=a1, anchor2=a2, O1=O1, O2=O2)
 
 
 def _reference_target(spec, pair, role, k=3, sigma=1.0):
