@@ -79,6 +79,15 @@ class RunConfig:
     kernel_size: int = 3
     kernel_sigma: float = 1.0
 
+    def check_loop(self) -> None:
+        """Refuse loop shapes that would crash the training loop or misdirect it."""
+        for key, least in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 1),
+                           ("warmup_epochs", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        if not self.grad_clip_norm > 0:
+            raise ConfigError(f"grad_clip_norm must be positive, got {self.grad_clip_norm}")
+
     def grid_spec(self) -> GridSpec:
         return GridSpec(G=self.grid_patches, m=self.patch_pixels,
                         c1=self.crop1_patches, c2=self.crop2_patches,
@@ -154,6 +163,7 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if overrides:
         apply_overrides(cfg, overrides)
+    cfg.check_loop()
     return cfg
 
 

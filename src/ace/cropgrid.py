@@ -33,8 +33,9 @@ class GridSpec:
             raise ParameterError(f"c1 must be even, got {self.c1}")
         if self.G < self.c2:
             raise ParameterError(f"G must be >= c2, got G={self.G}, c2={self.c2}")
-        if min(self.G, self.m, self.c1, self.H0) <= 0:
-            raise ParameterError("all grid extents must be positive")
+        for name in ("G", "m", "c1", "H0"):
+            if getattr(self, name) <= 0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def T(self) -> int:

@@ -24,7 +24,7 @@ def primitive_cases(rng: np.random.Generator):
     """(name, op, input array) for every production primitive, with the
     batched forms of each primitive that takes a leading batch axis."""
     a, a3, sq = rng.normal(size=(4, 8)), rng.normal(size=(3, 4, 8)), rng.normal(size=(4, 4))
-    w, w3, v = rng.normal(size=(8, 3)), rng.normal(size=(3, 8, 2)), rng.normal(size=8)
+    w, w3, (v, u) = rng.normal(size=(8, 3)), rng.normal(size=(3, 8, 2)), rng.normal(size=(2, 8))
     p3 = np.exp(rng.normal(size=(3, 8)))
     p3 /= p3.sum(axis=1, keepdims=True)
     mask3 = (rng.random((3, 4)) < 0.5) | (np.arange(4) == rng.integers(4, size=(3, 1)))  # none empty
@@ -36,8 +36,7 @@ def primitive_cases(rng: np.random.Generator):
         ("matmul", lambda t: tz.matmul(t, Tensor(w))),
         ("linear", lambda t: tz.linear(t, Tensor(w), Tensor(v[:3]))),
         ("swapaxes", lambda t: tz.swapaxes(t, -1, -2)),
-        ("mul_rowvec", lambda t: tz.mul_rowvec(t, Tensor(v))),
-        ("row_norm", tz.row_norm),
+        ("layer_norm", lambda t: tz.layer_norm(t, Tensor(v), Tensor(u))),
     ]
     return [(name + suffix, op, x) for name, op in per_item
              for suffix, x in (("", a), ("_batch", a3))] + [
@@ -46,7 +45,6 @@ def primitive_cases(rng: np.random.Generator):
         ("silu", tz.silu, a),
         ("matmul_const_left", lambda t: tz.matmul(Tensor(sq), t), a),
         ("reshape", lambda t: tz.reshape(t, (8, 4)), a),
-        ("add_rowvec", lambda t: tz.add_rowvec(t, Tensor(v)), a),
         ("masked_mean_pool", lambda t: tz.masked_mean_pool(t, mask3[0]), a),
         ("cross_entropy_with_logits", lambda t: ce(p3[0], t, 0.5), a[0]),
         ("match_loss_two_sided", lambda t: match(t, t3[0], 0.9), a),
@@ -58,8 +56,8 @@ def primitive_cases(rng: np.random.Generator):
         ("linear_batch_bias", lambda t: tz.linear(Tensor(a3), Tensor(w), t), v[:3]),
         ("slice_batch", lambda t: tz.slice_batch(t, 1, 3), a3),
         ("swapaxes_blocks", lambda t: tz.swapaxes(t, -4, -3), blocks),
-        ("add_rowvec_batch", lambda t: tz.add_rowvec(Tensor(a3), t), v),
-        ("mul_rowvec_batch_v", lambda t: tz.mul_rowvec(Tensor(a3), t), v),
+        ("layer_norm_batch_gain", lambda t: tz.layer_norm(Tensor(a3), t, Tensor(u)), v),
+        ("layer_norm_batch_bias", lambda t: tz.layer_norm(Tensor(a3), Tensor(v), t), u),
         ("masked_mean_pool_batch", lambda t: tz.masked_mean_pool(t, mask3), a3),
         ("cross_entropy_with_logits_rows", lambda t: ce(p3, t, 0.5), a3[:, 0]),
         ("match_loss_batch_two_sided", lambda t: match(t, t3, 0.9), a3),

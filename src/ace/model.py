@@ -35,8 +35,9 @@ class EncoderConfig:
     def __post_init__(self):
         if self.H0 % self.T != 0:
             raise ParameterError(f"H0 ({self.H0}) must be divisible by T ({self.T})")
-        if min(self.K, self.depth + 1, self.hidden) <= 0:
-            raise ParameterError("K, hidden must be positive and depth non-negative")
+        for name, least in (("K", 1), ("hidden", 1), ("depth", 0)):
+            if getattr(self, name) < least:
+                raise ParameterError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.T % 2 != 0:
             raise ParameterError(f"T must be even, got {self.T}")
 
@@ -114,10 +115,6 @@ def _image_to_patches(cfg: EncoderConfig, images: np.ndarray) -> np.ndarray:
     return patches.reshape(*lead, t * t, p * p)
 
 
-def _affine(x: Tensor, params, prefix: str) -> Tensor:
-    return tz.add_rowvec(tz.mul_rowvec(x, params[f"{prefix}.g"]), params[f"{prefix}.b"])
-
-
 def encode(cfg: EncoderConfig, params: dict[str, Tensor], images: np.ndarray) -> Tensor:
     """Embed H0 x H0 images into token matrices (row-major T x T layout).
 
@@ -127,10 +124,10 @@ def encode(cfg: EncoderConfig, params: dict[str, Tensor], images: np.ndarray) ->
     x = tz.linear(Tensor(_image_to_patches(cfg, images)), params["embed.w"], params["embed.b"])
     for i in range(cfg.depth):
         b = f"block{i}"
-        y = _affine(tz.row_norm(x), params, f"{b}.norm1")
+        y = tz.layer_norm(x, params[f"{b}.norm1.g"], params[f"{b}.norm1.b"])
         y = tz.matmul(params[f"{b}.mix.w"], y)
         x = tz.add(x, y)
-        y = _affine(tz.row_norm(x), params, f"{b}.norm2")
+        y = tz.layer_norm(x, params[f"{b}.norm2.g"], params[f"{b}.norm2.b"])
         y = tz.silu(tz.linear(y, params[f"{b}.mlp.w1"], params[f"{b}.mlp.b1"]))
         y = tz.linear(y, params[f"{b}.mlp.w2"], params[f"{b}.mlp.b2"])
         x = tz.add(x, y)
@@ -306,20 +303,26 @@ def save_state(path, state: EncoderState, extra: dict | None = None,
     write_blob_file(path, header, arrays)
 
 
+def _blob(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...], path,
+          what: str = "the blob list") -> np.ndarray:
+    """arrays[name], or a FormatError naming the file and the blob if it is
+    missing or not of the given shape."""
+    a = _field(arrays, name, path, what)
+    if a.shape != shape:
+        raise FormatError(f"{path}: blob {name!r} has shape {a.shape}, expected {shape}")
+    return a
+
+
 def load_state(path) -> tuple[EncoderState, dict, dict[str, np.ndarray]]:
     header, arrays = read_blob_file(path)
     cfg = config_from_header(EncoderConfig, _field(header, "config", path, "the header"), path)
-    student = {}
-    teacher = {}
-    extra_arrays = {}
-    center = _field(arrays, "center", path, "the blob list")
-    for name, a in arrays.items():
-        if name.startswith("student."):
-            student[name[len("student."):]] = Tensor(a, requires_grad=True)
-        elif name.startswith("teacher."):
-            teacher[name[len("teacher."):]] = Tensor(a)
-        elif name.startswith("extra."):
-            extra_arrays[name[len("extra."):]] = a
+    center = _blob(arrays, "center", (cfg.K,), path)
+    shapes = _param_shapes(cfg)
+    student = {n: Tensor(_blob(arrays, f"student.{n}", s, path), requires_grad=True)
+               for n, s in shapes.items()}
+    teacher = {n: Tensor(_blob(arrays, f"teacher.{n}", s, path)) for n, s in shapes.items()}
+    extra_arrays = {name[len("extra."):]: a for name, a in arrays.items()
+                    if name.startswith("extra.")}
     state = EncoderState(config=cfg, student=student, teacher=teacher,
                          center=center, step=int(_field(header, "step", path, "the header")))
     return state, header.get("extra", {}), extra_arrays

@@ -271,63 +271,47 @@ def slice_batch(a: Tensor, start: int, stop: int) -> Tensor:
     return _record(a.data[start:stop], (a,), bw)
 
 
-def _check_rowvec(a: Tensor, v: Tensor, op: str):
-    if a.data.ndim not in (2, 3) or v.data.ndim != 1 or a.data.shape[-1] != v.data.shape[0]:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {v.data.shape} incompatible")
-
-
 def _row_sum(g: np.ndarray) -> np.ndarray:
     return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add a length-K vector to every row of an N-by-K matrix or a batch of them."""
-    _check_rowvec(a, v, "add_rowvec")
-
-    def bw(g):
-        _accum(a, g)
-        if v.requires_grad:
-            _accum(v, _row_sum(g))
-
-    return _record(a.data + v.data, (a, v), bw)
-
-
-def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Scale every row of an N-by-K matrix (or a batch of them) elementwise by a
-    length-K vector."""
-    _check_rowvec(a, v, "mul_rowvec")
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * v.data)
-        if v.requires_grad:
-            _accum(v, _row_sum(g * a.data))
-
-    return _record(a.data * v.data, (a, v), bw)
-
-
-def row_norm(a: Tensor) -> Tensor:
-    """Standardize each row (last axis) to zero mean, unit variance."""
-    _check_batched(a, "row_norm")
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Standardize each row (last axis) of an N x K matrix or a (B, N, K)
+    batch to zero mean and unit variance, then scale by a length-K gain and
+    shift by a length-K bias; fused so the layer is one tape node."""
+    _check_batched(x, "layer_norm")
+    k = x.data.shape[-1]
+    if gain.data.shape != (k,) or bias.data.shape != (k,):
+        raise ShapeError(f"layer_norm: shapes {x.data.shape}, {gain.data.shape} and "
+                         f"{bias.data.shape} incompatible")
     # one centred pass gives the mean and the variance, as np.var computes them
-    xc = a.data - a.data.mean(axis=-1, keepdims=True)
-    y = np.square(xc)  # the squared deviations, then the output
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    y = np.square(xc)  # the squared deviations, then the standardized rows
     var = y.sum(axis=-1, keepdims=True)
-    var /= a.data.shape[-1]
+    var /= k
     inv = 1.0 / np.sqrt(var + 1e-6)
     np.multiply(xc, inv, out=y)
+    out = y * gain.data
+    out += bias.data
 
     def bw(g):
-        # inv * (g - mean(g) - y * mean(g * y)), with xc as the scratch buffer
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = np.multiply(g, y, out=xc).mean(axis=-1, keepdims=True)
-        np.multiply(y, gy, out=xc)
-        d = g - gm
-        d -= xc
-        d *= inv
-        _accum(a, d)
+        if bias.requires_grad:
+            _accum(bias, _row_sum(g))
+        if gain.requires_grad:
+            _accum(gain, _row_sum(g * y))
+        if x.requires_grad:
+            # inv * (gy - mean(gy) - y * mean(gy * y)) for gy = g * gain,
+            # with xc as the scratch buffer
+            gy = g * gain.data
+            gm = gy.mean(axis=-1, keepdims=True)
+            gyy = np.multiply(gy, y, out=xc).mean(axis=-1, keepdims=True)
+            np.multiply(y, gyy, out=xc)
+            d = gy - gm
+            d -= xc
+            d *= inv
+            _accum(x, d)
 
-    return _record(y, (a,), bw)
+    return _record(out, (x, gain, bias), bw)
 
 
 def masked_mean_pool(tokens: Tensor, mask) -> Tensor:

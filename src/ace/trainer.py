@@ -290,7 +290,9 @@ def load_checkpoint(path):
     what = "the header's extra"
     cfg = model.config_from_header(RunConfig, model._field(extra, "run_config", path, what), path)
     opt = AdamW(state.student)
-    opt.load_state_arrays(extra_arrays, int(model._field(extra, "opt_t", path, what)))
+    moments = {name: model._blob(extra_arrays, name, a.shape, path, "the optimizer state")
+               for name, a in opt.state_arrays().items()}
+    opt.load_state_arrays(moments, int(model._field(extra, "opt_t", path, what)))
     rng = np.random.default_rng(0)
     rng.bit_generator.state = json.loads(model._field(extra, "rng_state", path, what))
     return state, opt, rng, cfg
@@ -339,6 +341,7 @@ def train_loop(cfg: RunConfig, manifest_path, out_dir, resume_from=None,
 
     The call runs on one OpenBLAS thread and restores the count it found.
     """
+    cfg.check_loop()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = cfg.grid_spec()

@@ -6,8 +6,11 @@ import pytest
 
 import ace.tensor as tz
 from ace.cli import main
+from ace.config import RunConfig, apply_overrides
+from ace.errors import ConfigError
 from ace.model import load_state, read_blob_file, save_state, write_blob_file
 from ace.synthgen import load_manifest
+from ace.trainer import train_loop
 
 
 @pytest.fixture(scope="module")
@@ -72,40 +75,40 @@ def test_gradcheck_command():
 def test_gradcheck_catches_a_wrong_production_backward(capsys, monkeypatch):
     """The command runs the gate's case table, so a 1% error in the backward
     of a primitive that only training calls fails it, by name."""
-    real = tz.row_norm
+    real = tz.layer_norm
 
-    def skewed(a):
-        out = real(a)
+    def skewed(*args):
+        out = real(*args)
         tape = tz._active_tape()
         if out.requires_grad:
             node, parents, bw = tape._nodes[-1]
             tape._nodes[-1] = (node, parents, lambda g: bw(1.01 * g))
         return out
 
-    monkeypatch.setattr(tz, "row_norm", skewed)
+    monkeypatch.setattr(tz, "layer_norm", skewed)
     assert main(["gradcheck", "--trials", "1"]) == 1
     summary = capsys.readouterr().err.strip().splitlines()[-1]
     assert re.fullmatch(r"gradcheck: 1 trials, worst relative error \S+ "
-                        r"\(row_norm(_batch)?, seed 0\), FAIL", summary), summary
+                        r"\(layer_norm(_batch(_gain|_bias)?)?, seed 0\), FAIL", summary), summary
 
 
 def test_gradcheck_catches_a_nan_production_backward(capsys, monkeypatch):
     """A backward that writes NaN fails the command, and the NaN stays the
     worst error over the later, finite cases."""
-    real = tz.row_norm
+    real = tz.layer_norm
 
-    def poisoned(a):
-        out = real(a)
+    def poisoned(*args):
+        out = real(*args)
         tape = tz._active_tape()
         if out.requires_grad:
             node, parents, bw = tape._nodes[-1]
             tape._nodes[-1] = (node, parents, lambda g: bw(g * float("nan")))
         return out
 
-    monkeypatch.setattr(tz, "row_norm", poisoned)
+    monkeypatch.setattr(tz, "layer_norm", poisoned)
     assert main(["gradcheck", "--trials", "1"]) == 1
     summary = capsys.readouterr().err.strip().splitlines()[-1]
-    assert summary == "gradcheck: 1 trials, worst relative error nan (row_norm, seed 0), FAIL"
+    assert summary == "gradcheck: 1 trials, worst relative error nan (layer_norm, seed 0), FAIL"
 
 
 def test_geom_verify_command(tmp_path, capsys):
@@ -211,3 +214,67 @@ def test_seed_override_changes_run(workspace, tmp_path):
     m0 = (tmp_path / "s0" / "metrics.jsonl").read_bytes()
     m1 = (tmp_path / "s1" / "metrics.jsonl").read_bytes()
     assert m0 != m1
+
+
+@pytest.mark.parametrize("setting", ["batch_size=0", "epochs=0", "checkpoint_every=0",
+                                     "warmup_epochs=-1", "grad_clip_norm=0",
+                                     "grad_clip_norm=-1"])
+def test_loop_shape_out_of_range_is_refused(setting, tmp_path, capsys):
+    """A value that would crash the loop, skip the final checkpoint or flip
+    the update is refused by name before anything is written."""
+    key, value = setting.split("=")
+    named = rf"{key} must be [a-z ]+[0-9]*, got {value}(\.0)?$"
+    out, manifest = tmp_path / "run", tmp_path / "missing.tsv"
+    assert main(["pretrain", "--out", str(out), "--manifest", str(manifest),
+                 "--set", setting]) == 1
+    err = capsys.readouterr().err.strip()
+    assert re.fullmatch("error: " + named, err), err
+    with pytest.raises(ConfigError, match=named):
+        train_loop(apply_overrides(RunConfig(), [setting]), manifest, out)
+    assert not out.exists()
+
+
+# a checkpoint with one blob taken out or reshaped: the blob and the edit
+_BAD_BLOB = {
+    "missing": ("student.block0.mix.w", lambda arrays, name: arrays.pop(name)),
+    "misshaped": ("student.embed.w", lambda arrays, name: arrays.update(
+        {name: arrays[name][:-1]})),
+    "teacher": ("teacher.comp.b2", lambda arrays, name: arrays.pop(name)),
+    "center": ("center", lambda arrays, name: arrays.update({name: arrays[name][None]})),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_BLOB))
+def test_probe_names_a_missing_or_misshaped_parameter_blob(workspace, tmp_path, capsys, case):
+    root, manifest, tiny = workspace
+    header, arrays = read_blob_file(root / "run" / "checkpoint.ace")
+    name, edit = _BAD_BLOB[case]
+    edit(arrays, name)
+    ckpt = tmp_path / "bad.ace"
+    write_blob_file(ckpt, header, arrays)
+    code = main(["probe", "symmetry", "--out", str(tmp_path / "p"), "--ckpt", str(ckpt),
+                 "--manifest", str(manifest), "--samples", "1"] + tiny)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and repr(name) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["missing", "misshaped"])
+def test_resume_names_a_missing_or_misshaped_optimizer_blob(workspace, tmp_path, capsys, case):
+    root, manifest, tiny = workspace
+    header, arrays = read_blob_file(root / "run" / "checkpoint.ace")
+    if case == "missing":
+        arrays = {k: a for k, a in arrays.items() if not k.startswith("extra.opt.")}
+        name = "opt.m.embed.w"
+    else:
+        name = "opt.v.block0.mix.w"
+        arrays[f"extra.{name}"] = arrays[f"extra.{name}"].T[:1]
+    ckpt = tmp_path / "bad.ace"
+    write_blob_file(ckpt, header, arrays)
+    code = main(["pretrain", "--out", str(tmp_path / "r"), "--manifest", str(manifest),
+                 "--resume", str(ckpt)] + tiny)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and repr(name) in err
+    assert "Traceback" not in err

@@ -30,6 +30,8 @@ def test_spec_validation():
         GridSpec(G=16, m=16, c1=7, c2=14, H0=64)
     with pytest.raises(ParameterError):
         GridSpec(G=10, m=16, c1=8, c2=16, H0=64)
+    with pytest.raises(ParameterError, match=r"^m must be positive, got 0$"):
+        GridSpec(G=16, m=0, c1=8, c2=16, H0=64)
 
 
 def test_spec_derived_properties(desk_spec, paper_spec):

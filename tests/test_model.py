@@ -21,6 +21,8 @@ def test_config_validation():
         EncoderConfig(K=8, T=4, H0=18)  # H0 not divisible by T
     with pytest.raises(ParameterError):
         EncoderConfig(K=0, T=4, H0=16)
+    with pytest.raises(ParameterError, match=r"^hidden must be at least 1, got -3$"):
+        EncoderConfig(K=8, T=4, H0=16, hidden=-3)
 
 
 def test_init_deterministic_and_teacher_copies(tiny_cfg):

@@ -32,12 +32,11 @@ def test_forward_values_match_numpy():
     assert np.allclose(tz.matmul(Tensor(a), Tensor(m)).data, a @ m)
     assert np.allclose(tz.swapaxes(Tensor(a), 0, 1).data, a.T)
     assert np.allclose(tz.reshape(Tensor(a), (4, 3)).data, a.reshape(4, 3))
-    v = _rand(4)
-    assert np.allclose(tz.add_rowvec(Tensor(a), Tensor(v)).data, a + v)
-    assert np.allclose(tz.mul_rowvec(Tensor(a), Tensor(v)).data, a * v)
-    rn = tz.row_norm(Tensor(a)).data
+    v, u = _rand(4), _rand(4)
+    rn = tz.layer_norm(Tensor(a), Tensor(np.ones(4)), Tensor(np.zeros(4))).data
     assert np.allclose(rn.mean(axis=1), 0.0, atol=1e-12)
     assert np.allclose(rn.std(axis=1), 1.0, atol=1e-3)
+    assert np.allclose(tz.layer_norm(Tensor(a), Tensor(v), Tensor(u)).data, rn * v + u)
 
 
 def test_sigmoid_extreme_values_finite():
@@ -97,10 +96,10 @@ _PER_OP = {
     "matmul_b-<lambda>-shape9": "matmul_const_left",
     "transpose-<lambda>-shape10": "swapaxes",
     "reshape-<lambda>-shape11": "reshape",
-    "add_rowvec-<lambda>-shape13": "add_rowvec_batch",
-    "mul_rowvec_m-<lambda>-shape14": "mul_rowvec",
-    "mul_rowvec_v-<lambda>-shape15": "mul_rowvec_batch_v",
-    "row_norm-<lambda>-shape16": "row_norm",
+    "add_rowvec-<lambda>-shape13": "layer_norm_batch_bias",
+    "mul_rowvec_m-<lambda>-shape14": "layer_norm_batch",
+    "mul_rowvec_v-<lambda>-shape15": "layer_norm_batch_gain",
+    "row_norm-<lambda>-shape16": "layer_norm",
     "pool-<lambda>-shape19": "masked_mean_pool",
 }
 
@@ -183,8 +182,9 @@ def test_shape_mismatch_raises():
         tz.add(Tensor(_rand(2, 3)), Tensor(_rand(3, 2)))
     with pytest.raises(ShapeError):
         tz.matmul(Tensor(_rand(2, 3)), Tensor(_rand(2, 3)))
-    with pytest.raises(ShapeError):
-        tz.add_rowvec(Tensor(_rand(2, 3)), Tensor(_rand(2)))
+    for gain, bias in ((_rand(2), _rand(3)), (_rand(3), _rand(2))):
+        with pytest.raises(ShapeError):
+            tz.layer_norm(Tensor(_rand(2, 3)), Tensor(gain), Tensor(bias))
 
 
 def test_empty_mask_raises():
@@ -260,15 +260,15 @@ def test_backward_frees_op_outputs_and_keeps_leaf_gradients():
     with Tape() as tape:
         x = Tensor(_rand(2, 3, 4), requires_grad=True)
         v = Tensor(_rand(4), requires_grad=True)
-        outs = [tz.row_norm(x)]
-        outs.append(tz.mul_rowvec(outs[-1], v))
+        b = Tensor(_rand(4), requires_grad=True)
+        outs = [tz.layer_norm(x, v, b)]
         outs.append(tz.silu(outs[-1]))
         outs.append(tz.add(outs[-1], x))
         outs.append(tz.weighted_match_loss_logits(outs[-1], np.full((2, 3, 4), 0.5), 0.9))
         assert len(tape) == len(outs)
         backward(outs[-1])
     assert all(o.grad is None for o in outs)
-    assert x.grad.shape == x.shape and v.grad.shape == v.shape
+    assert x.grad.shape == x.shape and v.grad.shape == v.shape and b.grad.shape == b.shape
 
 
 def test_misshaped_gradient_raises():
@@ -321,6 +321,15 @@ def _ref_row_norm(x, g):
     return y, inv * (g - gm - y * gy)
 
 
+def _ref_layer_norm(x, gain, bias, g):
+    """row_norm, mul_rowvec by the gain and add_rowvec of the bias, as
+    layer_norm used to be composed: the output and the gradients of x, gain
+    and bias."""
+    y, gx = _ref_row_norm(x, g * gain)
+    return y * gain + bias, gx, (g * y).reshape(-1, x.shape[-1]).sum(axis=0), \
+        g.reshape(-1, x.shape[-1]).sum(axis=0)
+
+
 def _ref_match_loss(x, t, alpha, positive_only, g):
     rows = x.size // x.shape[-1]
     e, sig = _ref_sigmoid_parts(x)
@@ -331,15 +340,16 @@ def _ref_match_loss(x, t, alpha, positive_only, g):
     return out, (w * sig - pos) * (g / rows)
 
 
-def _value_and_grad(op, x, upstream):
-    """op(x) and the gradient its backward sends for an upstream gradient of
-    exactly `upstream`, handed to the recorded node directly."""
+def _value_and_grads(op, inputs, upstream):
+    """op(*inputs) and the gradients its backward sends to each input for an
+    upstream gradient of exactly `upstream`, handed to the recorded node
+    directly."""
     with Tape() as tape:
-        leaf = Tensor(x, requires_grad=True)
-        out = op(leaf)
+        leaves = [Tensor(x, requires_grad=True) for x in inputs]
+        out = op(*leaves)
         (_, _, bw), = tape._nodes
         bw(upstream)
-    return out.data, leaf.grad
+    return out.data, [leaf.grad for leaf in leaves]
 
 
 @pytest.mark.parametrize("shape", [(4, 11), (2, 16, 130)])
@@ -352,19 +362,22 @@ def test_sigmoid_parts_bit_identical(shape):
 @pytest.mark.parametrize("shape", [(4, 11), (2, 16, 130)])
 def test_silu_bit_identical(shape):
     x, g = _edge_values(shape, 2), _edge_values(shape, 3)[::-1].copy()
-    y, gx = _value_and_grad(tz.silu, x, g)
+    y, (gx,) = _value_and_grads(tz.silu, [x], g)
     y_ref, gx_ref = _ref_silu(x, g)
     assert _same_bits(y, y_ref) and _same_bits(gx, gx_ref)
 
 
 @pytest.mark.parametrize("shape", [(4, 11), (2, 16, 130), (3, 64, 32)])
 def test_row_norm_bit_identical(shape):
+    """layer_norm gives the bits of the three primitives it fuses."""
     # the first row carries the special values; the rest stay finite
     x, g = _edge_values(shape, 4), _edge_values(shape, 5)
-    y, gx = _value_and_grad(tz.row_norm, x, g)
-    y_ref, gx_ref = _ref_row_norm(x, g)
-    assert _same_bits(y, y_ref) and _same_bits(gx, gx_ref)
-    assert np.isfinite(gx.reshape(-1, shape[-1])[1:]).all()
+    gain, bias = np.random.default_rng(6).normal(size=(2, shape[-1]))
+    y, grads = _value_and_grads(tz.layer_norm, [x, gain, bias], g)
+    y_ref, *grads_ref = _ref_layer_norm(x, gain, bias, g)
+    assert _same_bits(y, y_ref)
+    assert all(_same_bits(got, ref) for got, ref in zip(grads, grads_ref))
+    assert np.isfinite(grads[0].reshape(-1, shape[-1])[1:]).all()
 
 
 @pytest.mark.parametrize("positive_only", [False, True])

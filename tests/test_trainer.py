@@ -13,6 +13,7 @@ from ace import blas
 from ace.config import RunConfig, apply_overrides
 from ace.cropgrid import extract_and_resize, sample_crop_pair
 from ace.errors import AceError, ParameterError
+from ace.gradcases import primitive_cases
 from ace.model import init
 from ace.synthgen import PhantomSpec, build_manifest, generate, load_manifest
 from ace.tensor import Tape, Tensor
@@ -490,3 +491,32 @@ def test_teacher_stays_constant_through_a_step_and_a_checkpoint(tmp_path):
     _assert_teacher_constant(loaded)
     for name, t in state.teacher.items():
         assert np.array_equal(loaded.teacher[name].data, t.data), name
+
+
+def test_every_primitive_of_a_step_has_a_gradient_case(monkeypatch):
+    """Each primitive behind a node of a desk step's tape is also recorded by
+    a case of the gradient table, so none enters training unchecked."""
+    recorded = []
+    real = Tape.record
+
+    def spy(self, out, parents, backward_fn):
+        recorded.append(backward_fn.__qualname__)
+        real(self, out, parents, backward_fn)
+
+    monkeypatch.setattr(Tape, "record", spy)
+    cfg = RunConfig()
+    spec = cfg.grid_spec()
+    rng = np.random.default_rng(0)
+    state = init(cfg.encoder_config(), rng)
+    batch = [(rng.random((spec.side, spec.side)), sample_crop_pair(rng, spec)) for _ in range(2)]
+    with Tape():
+        lg, lc, ld, _ = tr._batch_losses(state, batch, cfg, spec, rng)
+        tz.backward(obj.total_loss(lg, lc, ld, cfg.lambda_global, cfg.lambda_comp,
+                                   cfg.lambda_decomp))
+    step = set(recorded)
+    recorded.clear()
+    for _, op, x in primitive_cases(np.random.default_rng(0)):
+        with Tape():
+            op(Tensor(x, requires_grad=True))
+    assert "layer_norm.<locals>.bw" in step
+    assert step <= set(recorded), f"no gradient case records {sorted(step - set(recorded))}"
