@@ -86,7 +86,7 @@ def _cmd_probe(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     name = args.name
     if name == "compositionality":
-        report = pb.compositionality_probe(state, phantoms, n_parts=args.parts,
+        report = pb.compositionality_probe(state, phantoms, n_parts=4,
                                            samples=args.samples, rng=rng)
     elif name == "decompositionality":
         report = pb.decompositionality_probe(state, phantoms, rng, n_batches=args.batches)
@@ -161,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="dataset manifest TSV")
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--batches", type=int, default=8)
-    p.add_argument("--parts", type=int, default=4, choices=(2, 4))
     p.add_argument("--keys", type=int, default=8)
     p.add_argument("--queries", type=int, default=1)
     p.add_argument("--window", type=int, default=None)

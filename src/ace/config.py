@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .cropgrid import GridSpec
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .model import EncoderConfig
 from .synthgen import PhantomSpec
 
@@ -23,7 +23,6 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 class RunConfig:
     # data generation
     phantom_count: int = 512
-    phantom_side: int = 256
     phantom_jitter: float = 0.04
     phantom_scale_jitter: float = 0.12
     phantom_noise: float = 0.02
@@ -37,11 +36,11 @@ class RunConfig:
     phantom_mosaic_levels: int = 5
     phantom_mosaic_scale: float = 0.04
 
-    # crop geometry (desk defaults; paper scale is G=32, m=32, c1=14, c2=28, H0=448)
+    # crop geometry (desk defaults; paper scale is G=32, m=32, c1=14, H0=448); C2 spans
+    # 2 * crop1_patches patches, and a phantom grid_patches * patch_pixels pixels
     grid_patches: int = 16
     patch_pixels: int = 16
     crop1_patches: int = 8
-    crop2_patches: int = 16
     resize_side: int = 64
 
     # encoder
@@ -79,18 +78,31 @@ class RunConfig:
     kernel_size: int = 3
     kernel_sigma: float = 1.0
 
-    def check_loop(self) -> None:
-        """Refuse loop shapes that would crash the training loop or misdirect it."""
+    def check(self) -> None:
+        """Refuse, by key and value, a loop shape that would crash the training
+        loop or misdirect it, and values a component cannot be built from."""
         for key, least in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 1),
                            ("warmup_epochs", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        if self.warmup_epochs > self.epochs:
+            # the learning rate would never leave its warmup
+            raise ConfigError(f"warmup_epochs must be at most epochs ({self.epochs}), "
+                              f"got {self.warmup_epochs}")
         if not self.grad_clip_norm > 0:
             raise ConfigError(f"grad_clip_norm must be positive, got {self.grad_clip_norm}")
+        for build, keys in _COMPONENT_KEYS:
+            try:
+                getattr(self, build)()
+            except ParameterError as exc:
+                # the defaults build, so a key the user set is at fault
+                named = [k for k in keys if getattr(self, k) != getattr(_DEFAULTS, k)]
+                raise ConfigError(", ".join(f"{k} = {getattr(self, k)}" for k in named)
+                                  + f": {exc}") from None
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(G=self.grid_patches, m=self.patch_pixels,
-                        c1=self.crop1_patches, c2=self.crop2_patches,
+                        c1=self.crop1_patches, c2=2 * self.crop1_patches,
                         H0=self.resize_side)
 
     def encoder_config(self) -> EncoderConfig:
@@ -99,7 +111,7 @@ class RunConfig:
                              hidden=self.encoder_hidden)
 
     def phantom_spec(self) -> PhantomSpec:
-        return PhantomSpec(side=self.phantom_side,
+        return PhantomSpec(side=self.grid_patches * self.patch_pixels,
                            jitter_translate=self.phantom_jitter,
                            jitter_scale=self.phantom_scale_jitter,
                            intensity_noise=self.phantom_noise,
@@ -115,6 +127,15 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_DEFAULTS = RunConfig()
+# the keys each component is built from
+_COMPONENT_KEYS = (
+    ("grid_spec", ("grid_patches", "patch_pixels", "crop1_patches", "resize_side")),
+    ("encoder_config", ("embed_dim", "crop1_patches", "resize_side", "encoder_depth",
+                        "encoder_hidden")),
+    ("phantom_spec", tuple(k for k in _FIELD_TYPES
+                           if k.startswith("phantom_") and k != "phantom_count")),
+)
 
 
 def _parse_value(key: str, raw: str):
@@ -163,7 +184,7 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if overrides:
         apply_overrides(cfg, overrides)
-    cfg.check_loop()
+    cfg.check()
     return cfg
 
 

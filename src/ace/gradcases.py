@@ -70,9 +70,9 @@ def _loss_graph_errors(rng: np.random.Generator):
     through the encoder, probed at one coordinate of each of three sampled
     student parameters."""
     cfg = apply_overrides(RunConfig(), [
-        "phantom_side=64", "grid_patches=8", "patch_pixels=8", "crop1_patches=4",
-        "crop2_patches=8", "resize_side=16", "embed_dim=8", "encoder_depth=1",
-        "encoder_hidden=16", "aug_brightness=0", "aug_contrast=0", "aug_noise=0", "aug_blur=0"])
+        "grid_patches=8", "patch_pixels=8", "crop1_patches=4", "resize_side=16",
+        "embed_dim=8", "encoder_depth=1", "encoder_hidden=16", "aug_brightness=0",
+        "aug_contrast=0", "aug_noise=0", "aug_blur=0"])
     spec = cfg.grid_spec()
     state = init(cfg.encoder_config(), rng)
     batch = [(rng.random((spec.side, spec.side)), sample_crop_pair(rng, spec)) for _ in range(2)]

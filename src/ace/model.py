@@ -318,6 +318,11 @@ def load_state(path) -> tuple[EncoderState, dict, dict[str, np.ndarray]]:
     cfg = config_from_header(EncoderConfig, _field(header, "config", path, "the header"), path)
     center = _blob(arrays, "center", (cfg.K,), path)
     shapes = _param_shapes(cfg)
+    stray = next((n for n in arrays if n.startswith(("student.", "teacher."))
+                  and n.split(".", 1)[1] not in shapes), None)
+    if stray is not None:
+        raise FormatError(f"{path}: blob {stray!r} is not a parameter of the header's "
+                          "encoder config")
     student = {n: Tensor(_blob(arrays, f"student.{n}", s, path), requires_grad=True)
                for n, s in shapes.items()}
     teacher = {n: Tensor(_blob(arrays, f"teacher.{n}", s, path)) for n, s in shapes.items()}

@@ -98,9 +98,10 @@ def _random_square(rng: np.random.Generator, side: int):
 
 def compositionality_probe(state: EncoderState, phantoms: list[Phantom], n_parts: int,
                            samples: int, rng: np.random.Generator) -> ProbeReport:
-    """Cosine between a patch embedding and the mean embedding of its sub-patches."""
-    if n_parts not in (2, 4):
-        raise ParameterError(f"n_parts must be 2 or 4, got {n_parts}")
+    """Cosine between a patch embedding and the mean embedding of its 2x2 sub-patches."""
+    if n_parts != 4:
+        # the split mirrors the composer's 2x2 token blocks; the summary records it
+        raise ParameterError(f"n_parts must be 4, got {n_parts}")
     records = []
     for s in range(samples):
         ph = phantoms[int(rng.integers(0, len(phantoms)))]
@@ -108,10 +109,7 @@ def compositionality_probe(state: EncoderState, phantoms: list[Phantom], n_parts
         x, y, size = _random_square(rng, side)
         whole = ph.image[y:y + size, x:x + size]
         h = size // 2
-        if n_parts == 2:
-            parts = [whole[:, :h], whole[:, h:]]
-        else:
-            parts = [whole[:h, :h], whole[:h, h:], whole[h:, :h], whole[h:, h:]]
+        parts = [whole[:h, :h], whole[:h, h:], whole[h:, :h], whole[h:, h:]]
         feats = embed_crops(state, np.stack([resize(p, size) for p in parts] + [whole]))
         sim = _cosine(feats[-1], feats[:-1].mean(axis=0))
         records.append({"sample": s, "instance_id": ph.instance_id, "x": x, "y": y,

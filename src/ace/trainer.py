@@ -341,7 +341,7 @@ def train_loop(cfg: RunConfig, manifest_path, out_dir, resume_from=None,
 
     The call runs on one OpenBLAS thread and restores the count it found.
     """
-    cfg.check_loop()
+    cfg.check()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = cfg.grid_spec()

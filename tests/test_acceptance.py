@@ -255,9 +255,8 @@ def test_correspondence_error_halves_against_baseline(desk, nominal_eval):
 def _small_cfg(**over):
     cfg = RunConfig()
     pairs = [f"{k}={v}" for k, v in {
-        "phantom_count": 16, "phantom_side": 128, "grid_patches": 8,
-        "patch_pixels": 16, "crop1_patches": 4, "crop2_patches": 8,
-        "resize_side": 32, "embed_dim": 8, "encoder_depth": 1,
+        "phantom_count": 16, "grid_patches": 8, "patch_pixels": 16,
+        "crop1_patches": 4, "resize_side": 32, "embed_dim": 8, "encoder_depth": 1,
         "encoder_hidden": 16, "epochs": 3, "warmup_epochs": 1,
         "batch_size": 4, "checkpoint_every": 1, **over}.items()]
     return apply_overrides(cfg, pairs)

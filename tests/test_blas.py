@@ -41,10 +41,9 @@ def openblas():
 
 def _tiny(tmp_path):
     cfg = apply_overrides(RunConfig(), [f"{k}={v}" for k, v in {
-        "phantom_count": 4, "phantom_side": 64, "grid_patches": 4, "patch_pixels": 16,
-        "crop1_patches": 2, "crop2_patches": 4, "resize_side": 16, "embed_dim": 8,
-        "encoder_depth": 1, "encoder_hidden": 16, "epochs": 1, "warmup_epochs": 0,
-        "batch_size": 2}.items()])
+        "phantom_count": 4, "grid_patches": 4, "patch_pixels": 16, "crop1_patches": 2,
+        "resize_side": 16, "embed_dim": 8, "encoder_depth": 1, "encoder_hidden": 16,
+        "epochs": 1, "warmup_epochs": 0, "batch_size": 2}.items()])
     spec = cfg.phantom_spec()
     phantoms = [generate(np.random.default_rng(i), spec, instance_id=f"p{i}", seed=i)
                 for i in range(cfg.phantom_count)]

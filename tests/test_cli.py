@@ -17,9 +17,8 @@ from ace.trainer import train_loop
 def workspace(tmp_path_factory):
     """Small dataset plus a short training run shared by the CLI tests."""
     root = tmp_path_factory.mktemp("cli")
-    tiny = ["--set", "phantom_count=40", "--set", "phantom_side=64",
-            "--set", "grid_patches=4", "--set", "patch_pixels=16",
-            "--set", "crop1_patches=2", "--set", "crop2_patches=4",
+    tiny = ["--set", "phantom_count=40", "--set", "grid_patches=4",
+            "--set", "patch_pixels=16", "--set", "crop1_patches=2",
             "--set", "resize_side=16", "--set", "embed_dim=8",
             "--set", "encoder_depth=1", "--set", "encoder_hidden=16",
             "--set", "epochs=2", "--set", "warmup_epochs=1",
@@ -137,22 +136,69 @@ def test_domain_error_exit_code(tmp_path):
     assert code == 1
 
 
-def test_bad_config_key_exit_code(tmp_path):
-    code = main(["gen-data", "--out", str(tmp_path / "y"), "--set", "nope=1"])
-    assert code == 1
+# retired keys: the grid fixes the C2 side and the phantom side; threads set nothing
+_RETIRED = {"threads": 1, "crop2_patches": 16, "phantom_side": 256}
+
+
+def test_bad_config_key_exit_code(tmp_path, capsys):
+    for key, value in {"nope": 1, **_RETIRED}.items():
+        out = tmp_path / key
+        code = main(["gen-data", "--out", str(out), "--set", f"{key}={value}"])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == f"error: unknown config key {key!r}"
+        assert not out.exists()
 
 
 def test_checkpoint_with_retired_key_exit_code(workspace, tmp_path, capsys):
     root, manifest, tiny = workspace
-    header, arrays = read_blob_file(root / "run" / "checkpoint.ace")
-    header["extra"]["run_config"]["threads"] = 1
-    ckpt = tmp_path / "old.ace"
-    write_blob_file(ckpt, header, arrays)
-    code = main(["pretrain", "--out", str(tmp_path / "r"), "--manifest", str(manifest),
-                 "--resume", str(ckpt)] + tiny)
-    assert code == 1
-    err = capsys.readouterr().err
-    assert str(ckpt) in err and "'threads'" in err
+    for key, value in _RETIRED.items():
+        header, arrays = read_blob_file(root / "run" / "checkpoint.ace")
+        header["extra"]["run_config"][key] = value
+        ckpt = tmp_path / f"old-{key}.ace"
+        write_blob_file(ckpt, header, arrays)
+        code = main(["pretrain", "--out", str(tmp_path / "r"), "--manifest", str(manifest),
+                     "--resume", str(ckpt)] + tiny)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and repr(key) in err
+        # probes read the encoder config alone, so they still score the file
+        assert main(["probe", "symmetry", "--out", str(tmp_path / "p"), "--ckpt", str(ckpt),
+                     "--manifest", str(manifest), "--samples", "1"] + tiny) == 0
+
+
+def test_pipeline_on_a_non_default_grid(tmp_path, capsys):
+    """One config drives data, training and probes: the grid sets the
+    phantom side and the C2 side, whatever grid it is."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_patches = 4\npatch_pixels = 32\ncrop1_patches = 2\n"
+                   "resize_side = 16\nembed_dim = 8\nencoder_depth = 1\n"
+                   "encoder_hidden = 16\nphantom_count = 4\nbatch_size = 4\n"
+                   "epochs = 1\nwarmup_epochs = 0\n")
+    common = ["--config", str(cfg)]
+    manifest = tmp_path / "ds" / "data" / "manifest.tsv"
+    ckpt = tmp_path / "run" / "checkpoint.ace"
+    assert main(["gen-data", "--out", str(tmp_path / "ds")] + common) == 0
+    assert load_manifest(manifest)[0].image.shape == (128, 128)
+    assert main(["pretrain", "--out", str(tmp_path / "run"), "--manifest", str(manifest)]
+                + common) == 0, capsys.readouterr().err
+    assert main(["probe", "compositionality", "--out", str(tmp_path / "p"), "--ckpt",
+                 str(ckpt), "--manifest", str(manifest), "--samples", "2"] + common) == 0
+
+
+@pytest.mark.parametrize("setting, named", [
+    ("patch_pixels=0", "patch_pixels = 0: m must be positive, got 0"),
+    ("grid_patches=8", "grid_patches = 8: G must be >= c2, got G=8, c2=16"),
+    ("resize_side=60", "resize_side = 60: H0 (60) must be divisible by T (8)"),
+    ("encoder_hidden=0", "encoder_hidden = 0: hidden must be at least 1, got 0"),
+    ("phantom_jitter=0.5", "phantom_jitter = 0.5: jitter amplitudes out of the supported "
+                           "envelope")])
+def test_component_error_names_the_key_before_writing(setting, named, tmp_path, capsys):
+    """A value the grid, the encoder or the phantoms cannot be built from is
+    refused by its config key before the output directory exists."""
+    out = tmp_path / "o"
+    assert main(["geom-verify", "--out", str(out), "--set", setting]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {named}"
+    assert not out.exists()
 
 
 def test_model_only_checkpoint(workspace, tmp_path, capsys):
@@ -194,6 +240,9 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # the split is always 2x2
+        main(["probe", "compositionality", "--ckpt", "x", "--manifest", "y", "--parts", "4"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [["gradcheck", "--trials", "0"],
@@ -217,13 +266,14 @@ def test_seed_override_changes_run(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["batch_size=0", "epochs=0", "checkpoint_every=0",
-                                     "warmup_epochs=-1", "grad_clip_norm=0",
-                                     "grad_clip_norm=-1"])
+                                     "warmup_epochs=-1", "warmup_epochs=40",
+                                     "grad_clip_norm=0", "grad_clip_norm=-1"])
 def test_loop_shape_out_of_range_is_refused(setting, tmp_path, capsys):
     """A value that would crash the loop, skip the final checkpoint or flip
     the update is refused by name before anything is written."""
     key, value = setting.split("=")
-    named = rf"{key} must be [a-z ]+[0-9]*, got {value}(\.0)?$"
+    # a bound set by another key names it and its value: `at most epochs (30)`
+    named = rf"{key} must be [a-z ]+([0-9]*|[a-z_]+ \(\d+\)), got {value}(\.0)?$"
     out, manifest = tmp_path / "run", tmp_path / "missing.tsv"
     assert main(["pretrain", "--out", str(out), "--manifest", str(manifest),
                  "--set", setting]) == 1
@@ -241,6 +291,9 @@ _BAD_BLOB = {
         {name: arrays[name][:-1]})),
     "teacher": ("teacher.comp.b2", lambda arrays, name: arrays.pop(name)),
     "center": ("center", lambda arrays, name: arrays.update({name: arrays[name][None]})),
+    # a block the header's depth-1 config does not have
+    "stray": ("student.block1.mix.w", lambda arrays, name: arrays.update(
+        {name: arrays["student.block0.mix.w"]})),
 }
 
 

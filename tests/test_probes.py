@@ -66,9 +66,10 @@ def test_compositionality_probe_mechanics(probe_state, probe_phantoms):
     assert -1.0 <= rep.summary["mean_cosine"] <= 1.0
     hist_total = sum(v for k, v in rep.summary.items() if k.startswith("hist_"))
     assert hist_total == 10
-    with pytest.raises(ParameterError):
-        pb.compositionality_probe(probe_state, probe_phantoms, n_parts=3,
-                                  samples=1, rng=rng)
+    for n_parts in (2, 3):
+        with pytest.raises(ParameterError, match=f"n_parts must be 4, got {n_parts}"):
+            pb.compositionality_probe(probe_state, probe_phantoms, n_parts=n_parts,
+                                      samples=1, rng=rng)
 
 
 def test_probe_determinism(probe_state, probe_phantoms):

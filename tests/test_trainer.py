@@ -24,9 +24,8 @@ from ace.trainer import (AdamW, augment, clip_gradients, learning_rate,
 def _tiny_run_cfg(**over):
     cfg = RunConfig()
     pairs = [f"{k}={v}" for k, v in {
-        "phantom_count": 8, "phantom_side": 64, "grid_patches": 4,
-        "patch_pixels": 16, "crop1_patches": 2, "crop2_patches": 4,
-        "resize_side": 16, "embed_dim": 8, "encoder_depth": 1,
+        "phantom_count": 8, "grid_patches": 4, "patch_pixels": 16,
+        "crop1_patches": 2, "resize_side": 16, "embed_dim": 8, "encoder_depth": 1,
         "encoder_hidden": 16, "epochs": 3, "warmup_epochs": 1,
         "batch_size": 4, "checkpoint_every": 1, **over}.items()]
     return apply_overrides(cfg, pairs)
