@@ -31,7 +31,7 @@ def _log(msg: str) -> None:
 
 
 def _count(text: str) -> int:
-    """A self-check's count: one that checks nothing must not pass."""
+    """A count of samples, batches, phantoms or trials: a run over none must not pass."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
@@ -159,10 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--ckpt", required=True, help="checkpoint file")
     p.add_argument("--manifest", required=True, help="dataset manifest TSV")
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--batches", type=int, default=8)
-    p.add_argument("--keys", type=int, default=8)
-    p.add_argument("--queries", type=int, default=1)
+    p.add_argument("--samples", type=_count, default=64)
+    p.add_argument("--batches", type=_count, default=8)
+    p.add_argument("--keys", type=_count, default=8)
+    p.add_argument("--queries", type=_count, default=1)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--stride", type=int, default=None)
     p.set_defaults(func=_cmd_probe)

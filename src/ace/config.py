@@ -85,9 +85,9 @@ class RunConfig:
                            ("warmup_epochs", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
-        if self.warmup_epochs > self.epochs:
-            # the learning rate would never leave its warmup
-            raise ConfigError(f"warmup_epochs must be at most epochs ({self.epochs}), "
+        if self.warmup_epochs >= self.epochs:
+            # the learning rate would end the run at its peak, with no decay
+            raise ConfigError(f"warmup_epochs must be below epochs ({self.epochs}), "
                               f"got {self.warmup_epochs}")
         if not self.grad_clip_norm > 0:
             raise ConfigError(f"grad_clip_norm must be positive, got {self.grad_clip_norm}")

@@ -90,32 +90,24 @@ def sample_crop_pair(rng: np.random.Generator, spec: GridSpec) -> CropPair:
     return CropPair(anchor1=anchor1, anchor2=anchor2, O1=O1, O2=O2)
 
 
-def _bilinear_resize(src: np.ndarray, out_side: int) -> np.ndarray:
-    s = src.shape[-1]
-    coords = (np.arange(out_side) + 0.5) * (s / out_side) - 0.5
-    lo = np.clip(np.floor(coords).astype(int), 0, s - 1)
-    hi = np.clip(lo + 1, 0, s - 1)
-    frac = np.clip(coords - lo, 0.0, 1.0)
-    # each corner gathers its rows afresh, so only one (..., out, s) row
-    # gather is alive at a time
-    return src[..., lo, :][..., lo] * np.outer(1 - frac, 1 - frac) \
-        + src[..., lo, :][..., hi] * np.outer(1 - frac, frac) \
-        + src[..., hi, :][..., lo] * np.outer(frac, 1 - frac) \
-        + src[..., hi, :][..., hi] * np.outer(frac, frac)
-
-
 def resize(src: np.ndarray, out_side: int) -> np.ndarray:
-    """Bilinear resize of a square image, or of a stack of them (..., s, s);
-    exact box average on integer downscale."""
-    if src.ndim < 2 or src.shape[-1] != src.shape[-2]:
+    """Bilinear resize of one square image; exact box average on integer downscale."""
+    if src.ndim != 2 or src.shape[0] != src.shape[1]:
         raise ShapeError(f"resize: expected a square image, got {src.shape}")
-    s = src.shape[-1]
+    s = src.shape[0]
     if s == out_side:
         return src.copy()
     if s % out_side == 0:
         f = s // out_side
-        return src.reshape(*src.shape[:-2], out_side, f, out_side, f).mean(axis=(-3, -1))
-    return _bilinear_resize(src, out_side)
+        return src.reshape(out_side, f, out_side, f).mean(axis=(1, 3))
+    coords = (np.arange(out_side) + 0.5) * (s / out_side) - 0.5
+    lo = np.clip(np.floor(coords).astype(int), 0, s - 1)
+    hi = np.clip(lo + 1, 0, s - 1)
+    frac = np.clip(coords - lo, 0.0, 1.0)
+    return src[lo][:, lo] * np.outer(1 - frac, 1 - frac) \
+        + src[lo][:, hi] * np.outer(1 - frac, frac) \
+        + src[hi][:, lo] * np.outer(frac, 1 - frac) \
+        + src[hi][:, hi] * np.outer(frac, frac)
 
 
 def extract_and_resize(image: np.ndarray, anchor: tuple[int, int],

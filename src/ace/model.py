@@ -93,7 +93,7 @@ def init(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderState:
     for name, shape in _param_shapes(cfg).items():
         if name.endswith(".g"):
             data = np.ones(shape)
-        elif name.endswith((".b", ".b1", ".b2")) or ".norm" in name:
+        elif name.endswith((".b", ".b1", ".b2")):
             data = np.zeros(shape)
         else:
             fan_in = shape[0]

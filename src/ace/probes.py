@@ -19,7 +19,7 @@ from .errors import ParameterError
 from .model import EncoderState, encode_batch
 from .synthgen import MIRROR_PAIRS, Phantom
 
-_RESIZE_CHUNK = 256
+_ENCODE_CHUNK = 256
 
 
 @dataclass
@@ -46,13 +46,16 @@ class ProbeReport:
                 writer.writerow([k, v])
 
 
-def embed_crops(state: EncoderState, crops: np.ndarray) -> np.ndarray:
-    """Shared feature path: resize to H0, encode, mean-pool tokens -> (B, K)."""
+def embed_crops(state: EncoderState, crops) -> np.ndarray:
+    """Shared feature path: resize each crop to H0, encode, mean-pool tokens -> (B, K).
+
+    ``crops`` is a sized sequence of square crops of any side: a list of
+    arrays or views, or a stack."""
     cfg = state.config
     feats = []
-    for i in range(0, len(crops), _RESIZE_CHUNK):
-        chunk = np.asarray(crops[i:i + _RESIZE_CHUNK], dtype=float)
-        resized = resize(chunk, cfg.H0)
+    for i in range(0, len(crops), _ENCODE_CHUNK):
+        resized = np.stack([resize(np.asarray(c, dtype=float), cfg.H0)
+                            for c in crops[i:i + _ENCODE_CHUNK]])
         feats.append(encode_batch(cfg, state.student, resized).mean(axis=1))
     return np.concatenate(feats, axis=0)
 
@@ -83,6 +86,13 @@ def _crop_centered(image: np.ndarray, cx: float, cy: float, side: int) -> np.nda
     return out
 
 
+def _require_counts(**counts) -> None:
+    """Refuse, by name, a count or stride below 1: a probe over nothing scores nothing."""
+    for name, n in counts.items():
+        if n < 1:
+            raise ParameterError(f"{name} must be at least 1, got {n}")
+
+
 def _random_square(rng: np.random.Generator, side: int):
     """Even-sided square (x, y, size) covering 30-60% of the image side."""
     size = int(rng.uniform(0.3, 0.6) * side)
@@ -102,6 +112,7 @@ def compositionality_probe(state: EncoderState, phantoms: list[Phantom], n_parts
     if n_parts != 4:
         # the split mirrors the composer's 2x2 token blocks; the summary records it
         raise ParameterError(f"n_parts must be 4, got {n_parts}")
+    _require_counts(samples=samples)
     records = []
     for s in range(samples):
         ph = phantoms[int(rng.integers(0, len(phantoms)))]
@@ -110,7 +121,7 @@ def compositionality_probe(state: EncoderState, phantoms: list[Phantom], n_parts
         whole = ph.image[y:y + size, x:x + size]
         h = size // 2
         parts = [whole[:h, :h], whole[:h, h:], whole[h:, :h], whole[h:, h:]]
-        feats = embed_crops(state, np.stack([resize(p, size) for p in parts] + [whole]))
+        feats = embed_crops(state, [resize(p, size) for p in parts] + [whole])
         sim = _cosine(feats[-1], feats[:-1].mean(axis=0))
         records.append({"sample": s, "instance_id": ph.instance_id, "x": x, "y": y,
                         "size": size, "cosine": sim})
@@ -127,6 +138,7 @@ def decompositionality_probe(state: EncoderState, phantoms: list[Phantom],
                              rng: np.random.Generator, batch_size: int = 32,
                              n_batches: int = 8) -> ProbeReport:
     """Match embed(X) - embed(X without a patch) against the excised patches."""
+    _require_counts(batch_size=batch_size, n_batches=n_batches)
     if len(phantoms) < batch_size:
         raise ParameterError(f"need at least {batch_size} phantoms, got {len(phantoms)}")
     records = []
@@ -139,12 +151,12 @@ def decompositionality_probe(state: EncoderState, phantoms: list[Phantom],
             x, y, size = _random_square(rng, img.shape[0])
             cut = img.copy()
             cut[y:y + size, x:x + size] = 0.0
-            wholes.append(resize(img, state.config.H0))
-            excised.append(resize(cut, state.config.H0))
-            patches.append(resize(img[y:y + size, x:x + size], state.config.H0))
-        f_whole = embed_crops(state, np.stack(wholes))
-        f_exc = embed_crops(state, np.stack(excised))
-        f_patch = embed_crops(state, np.stack(patches))
+            wholes.append(img)
+            excised.append(cut)
+            patches.append(img[y:y + size, x:x + size])
+        f_whole = embed_crops(state, wholes)
+        f_exc = embed_crops(state, excised)
+        f_patch = embed_crops(state, patches)
         diffs = f_whole - f_exc
         for j in range(batch_size):
             sims = _cosine_matrix(diffs[j], f_patch)
@@ -168,6 +180,7 @@ def retrieval_probe(state: EncoderState, phantoms: list[Phantom],
                     rng: np.random.Generator, batch_size: int = 32,
                     n_batches: int = 8) -> ProbeReport:
     """Whole-image retrieval from one query patch per batch item."""
+    _require_counts(batch_size=batch_size, n_batches=n_batches)
     if len(phantoms) < batch_size:
         raise ParameterError(f"need at least {batch_size} phantoms, got {len(phantoms)}")
     records = []
@@ -175,8 +188,7 @@ def retrieval_probe(state: EncoderState, phantoms: list[Phantom],
     n_queries = 0
     for b in range(n_batches):
         chosen = rng.choice(len(phantoms), size=batch_size, replace=False)
-        wholes = np.stack([resize(phantoms[int(i)].image, state.config.H0) for i in chosen])
-        f_whole = embed_crops(state, wholes)
+        f_whole = embed_crops(state, [phantoms[int(i)].image for i in chosen])
         for j in range(batch_size):
             img = phantoms[int(chosen[j])].image
             x, y, size = _random_square(rng, img.shape[0])
@@ -206,8 +218,7 @@ def _key_dictionary(state: EncoderState, image: np.ndarray, window: int, stride:
     view = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
     view = view[::stride, ::stride]
     ny, nx = view.shape[:2]
-    crops = view.reshape(ny * nx, window, window)
-    feats = embed_crops(state, crops)
+    feats = embed_crops(state, [w for row in view for w in row])
     ys, xs = np.mgrid[0:ny, 0:nx]
     centers = np.stack([xs.reshape(-1).astype(float) * stride,
                         ys.reshape(-1).astype(float) * stride], axis=1)
@@ -221,6 +232,7 @@ def correspondence_probe(state: EncoderState, queries: list[Phantom],
     Each key image's window dictionary is built once and scored against
     every query, so the probe covers len(queries) * len(keys) image pairs.
     """
+    _require_counts(stride=stride)
     if stride > window:
         raise ParameterError(f"stride {stride} exceeds window {window}")
     for arg, images in (("queries", queries), ("keys", keys)):
@@ -232,9 +244,8 @@ def correspondence_probe(state: EncoderState, queries: list[Phantom],
     names = list(queries[0].landmarks.keys())
     q_feats = []
     for q in queries:
-        crops = np.stack([_crop_centered(q.image, x, y, window)
-                          for x, y in q.landmarks.values()])
-        q_feats.append(embed_crops(state, crops))
+        q_feats.append(embed_crops(state, [_crop_centered(q.image, x, y, window)
+                                           for x, y in q.landmarks.values()]))
     records = []
     for key in keys:
         k_feats, k_centers = _key_dictionary(state, key.image, window, stride)
@@ -263,6 +274,7 @@ def correspondence_probe(state: EncoderState, queries: list[Phantom],
 def symmetry_probe(state: EncoderState, phantoms: list[Phantom],
                    patch_frac: float = 0.35) -> ProbeReport:
     """Flip-equivariance: mirrored landmark patches should match once flipped."""
+    _require_counts(phantoms=len(phantoms))
     records = []
     for ph in phantoms:
         side = ph.image.shape[0]
@@ -274,7 +286,7 @@ def symmetry_probe(state: EncoderState, phantoms: list[Phantom],
             rx, ry = ph.landmarks[right]
             c_l = _crop_centered(ph.image, lx, ly, patch)
             c_r = _crop_centered(ph.image, rx, ry, patch)
-            feats = embed_crops(state, np.stack([np.fliplr(c_l), c_r, c_l]))
+            feats = embed_crops(state, [np.fliplr(c_l), c_r, c_l])
             flipped_sim = _cosine(feats[0], feats[1])
             control_sim = _cosine(feats[2], feats[1])
             records.append({"instance_id": ph.instance_id, "pair": f"{left}|{right}",
@@ -303,7 +315,7 @@ def landmark_separability(state: EncoderState, phantoms: list[Phantom],
         for name in names:
             x, y = ph.landmarks[name]
             crops.append(_crop_centered(ph.image, x, y, patch))
-    feats = embed_crops(state, np.stack(crops)).reshape(n_inst, n_lm, -1)
+    feats = embed_crops(state, crops).reshape(n_inst, n_lm, -1)
 
     if embeddings_csv is not None:
         with open(embeddings_csv, "w", newline="", encoding="utf-8") as f:

@@ -293,15 +293,14 @@ _NUMERIC_COLUMNS = [f"{n}_{axis}" for n in LANDMARK_NAMES for axis in "xy"] + ["
 
 
 def build_manifest(directory, phantoms: list[Phantom]) -> Path:
-    """Write images (if absent) plus the manifest; returns the manifest path."""
+    """Write every image (a reused directory keeps no old pixels) plus the
+    manifest; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = ["\t".join(["instance_id", "path", *_NUMERIC_COLUMNS])]
     for ph in phantoms:
         rel = f"{ph.instance_id}.pgm"
-        img_path = directory / rel
-        if not img_path.exists():
-            write_image(img_path, ph.image)
+        write_image(directory / rel, ph.image)
         row = [ph.instance_id, rel]
         for name in LANDMARK_NAMES:
             x, y = ph.landmarks[name]
@@ -314,7 +313,7 @@ def build_manifest(directory, phantoms: list[Phantom]) -> Path:
     return manifest
 
 
-def load_manifest(manifest_path, load_images: bool = True) -> list[Phantom]:
+def load_manifest(manifest_path) -> list[Phantom]:
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     lines = manifest_path.read_text(encoding="utf-8").splitlines()
@@ -339,14 +338,10 @@ def load_manifest(manifest_path, load_images: bool = True) -> list[Phantom]:
         landmarks = {name: (coords[2 * i], coords[2 * i + 1])
                      for i, name in enumerate(LANDMARK_NAMES)}
         img_path = base / rel
-        if load_images:
-            if not img_path.exists():
-                raise FormatError(
-                    f"{manifest_path}:{lineno}: record {instance_id!r} names missing file {rel}")
-            image = read_image(img_path)
-        else:
-            image = np.zeros((0, 0))
-        phantoms.append(Phantom(image=image, landmarks=landmarks,
+        if not img_path.exists():
+            raise FormatError(
+                f"{manifest_path}:{lineno}: record {instance_id!r} names missing file {rel}")
+        phantoms.append(Phantom(image=read_image(img_path), landmarks=landmarks,
                                 instance_id=instance_id, seed=seed))
     return phantoms
 

@@ -247,7 +247,11 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("argv", [["gradcheck", "--trials", "0"],
                                   ["geom-verify", "--samples", "0"],
-                                  ["geom-verify", "--samples", "-5"]])
+                                  ["geom-verify", "--samples", "-5"],
+                                  ["probe", "retrieval", "--batches", "0"],
+                                  ["probe", "symmetry", "--samples", "0"],
+                                  ["probe", "correspondence", "--keys", "0"],
+                                  ["probe", "correspondence", "--queries", "-1"]])
 def test_self_check_of_nothing_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -266,13 +270,13 @@ def test_seed_override_changes_run(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["batch_size=0", "epochs=0", "checkpoint_every=0",
-                                     "warmup_epochs=-1", "warmup_epochs=40",
+                                     "warmup_epochs=-1", "warmup_epochs=30", "warmup_epochs=40",
                                      "grad_clip_norm=0", "grad_clip_norm=-1"])
 def test_loop_shape_out_of_range_is_refused(setting, tmp_path, capsys):
     """A value that would crash the loop, skip the final checkpoint or flip
     the update is refused by name before anything is written."""
     key, value = setting.split("=")
-    # a bound set by another key names it and its value: `at most epochs (30)`
+    # a bound set by another key names it and its value: `below epochs (30)`
     named = rf"{key} must be [a-z ]+([0-9]*|[a-z_]+ \(\d+\)), got {value}(\.0)?$"
     out, manifest = tmp_path / "run", tmp_path / "missing.tsv"
     assert main(["pretrain", "--out", str(out), "--manifest", str(manifest),

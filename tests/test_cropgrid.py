@@ -178,6 +178,8 @@ def test_resize_rejects_non_square():
         resize(np.zeros((4, 6)), 2)
     with pytest.raises(ShapeError):
         resize(np.zeros((3, 4, 6)), 2)
+    with pytest.raises(ShapeError):  # one image, not a stack
+        resize(np.zeros((3, 4, 4)), 2)
     with pytest.raises(ShapeError):
         resize(np.zeros(4), 2)
 

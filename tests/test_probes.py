@@ -1,6 +1,7 @@
 """Probe mechanics: feature-path equivalences, determinism, scoring oracles."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,18 +29,6 @@ def probe_phantoms():
     return out
 
 
-def test_resize_batch_matches_single_image_resize():
-    rng = np.random.default_rng(0)
-    for side, out_side in ((64, 32), (56, 32), (112, 64), (32, 32)):
-        crops = rng.random((3, side, side))
-        batched = resize(crops, out_side)
-        assert batched.shape == (3, out_side, out_side)
-        for i in range(3):
-            assert np.array_equal(batched[i], resize(crops[i], out_side))
-    stacked = rng.random((2, 3, 56, 56))
-    assert np.array_equal(resize(stacked, 32)[1, 2], resize(stacked[1, 2], 32))
-
-
 def test_crop_centered_padding():
     img = np.ones((10, 10))
     out = pb._crop_centered(img, 0.0, 0.0, 6)
@@ -56,6 +45,25 @@ def test_embed_crops_shape_and_determinism(probe_state, probe_phantoms):
     b = pb.embed_crops(probe_state, crops)
     assert a.shape == (4, probe_state.config.K)
     assert np.array_equal(a, b)
+    # a list of views of any sides, each resized on its own, gives the same rows
+    views = [p.image[:64, :64] for p in probe_phantoms[:4]] + [probe_phantoms[0].image[:56, :56]]
+    c = pb.embed_crops(probe_state, views)
+    assert np.array_equal(c[:4], a)
+    assert np.array_equal(c[4], pb.embed_crops(probe_state, [resize(views[4], 32)])[0])
+
+
+def test_correspondence_windows_stay_views(probe_state):
+    """The key dictionary's windows reach embed_crops as views: one call at
+    window 192 and stride 8 on a 256-pixel phantom (1,089 windows, 306 MiB
+    as one float64 copy) stays below a 100 MB allocation peak."""
+    ph = generate(np.random.default_rng(0), PhantomSpec(side=256))
+    tracemalloc.start()
+    try:
+        pb.correspondence_probe(probe_state, [ph], [ph], window=192, stride=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
 
 
 def test_compositionality_probe_mechanics(probe_state, probe_phantoms):
@@ -107,6 +115,29 @@ def test_correspondence_same_image_oracle(probe_state, probe_phantoms):
         pb.correspondence_probe(probe_state, [ph], [ph], window=8, stride=16)
     with pytest.raises(ParameterError):
         pb.correspondence_probe(probe_state, [ph], [ph], window=999, stride=1)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda st, ph: pb.retrieval_probe(st, ph, np.random.default_rng(0), n_batches=0),
+     "n_batches must be at least 1, got 0"),
+    (lambda st, ph: pb.decompositionality_probe(st, ph, np.random.default_rng(0), n_batches=0),
+     "n_batches must be at least 1, got 0"),
+    (lambda st, ph: pb.retrieval_probe(st, ph, np.random.default_rng(0), batch_size=0),
+     "batch_size must be at least 1, got 0"),
+    (lambda st, ph: pb.compositionality_probe(st, ph, n_parts=4, samples=0,
+                                              rng=np.random.default_rng(0)),
+     "samples must be at least 1, got 0"),
+    (lambda st, ph: pb.symmetry_probe(st, []), "phantoms must be at least 1, got 0"),
+    (lambda st, ph: pb.correspondence_probe(st, ph[:1], ph[1:2], window=48, stride=-64),
+     "stride must be at least 1, got -64"),
+    (lambda st, ph: pb.correspondence_probe(st, ph[:1], ph[1:2], window=48, stride=0),
+     "stride must be at least 1, got 0"),
+], ids=["retrieval-batches", "decompositionality-batches", "retrieval-batch-size",
+        "compositionality-samples", "symmetry-phantoms", "correspondence-stride-negative",
+        "correspondence-stride-zero"])
+def test_probe_refuses_count_below_one(call, named, probe_state, probe_phantoms):
+    with pytest.raises(ParameterError, match=f"^{named}$"):
+        call(probe_state, probe_phantoms)
 
 
 def test_correspondence_refuses_empty_lists(probe_state, probe_phantoms):

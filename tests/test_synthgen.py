@@ -161,9 +161,6 @@ def test_manifest_missing_file_names_record(tmp_path):
     with pytest.raises(FormatError) as exc:
         load_manifest(manifest)
     assert "gone" in str(exc.value)
-    # metadata-only loading skips the image files entirely
-    meta = load_manifest(manifest, load_images=False)
-    assert meta[0].instance_id == "gone"
 
 
 @pytest.mark.parametrize("column, value", [("left_rib2_y", "abc"), ("seed", "1.5")])
@@ -177,7 +174,20 @@ def test_manifest_bad_number_names_line_and_column(tmp_path, column, value):
     lines[2] = "\t".join(row)
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=rf"manifest\.tsv:3: column '{column}' .*'{value}'"):
-        load_manifest(manifest, load_images=False)
+        load_manifest(manifest)
+
+
+def test_regenerating_into_a_used_directory_writes_new_images(tmp_path):
+    """Another seed into the same directory pairs its landmarks with its own
+    pixels, not with the images an earlier run left there."""
+    spec = PhantomSpec(side=64)
+    generate_dataset(tmp_path, 3, spec, master_seed=0)
+    manifest = generate_dataset(tmp_path, 3, spec, master_seed=1)
+    for i, back in enumerate(load_manifest(manifest)):
+        rng, _ = instance_rng(1, i)
+        fresh = generate(rng, spec, instance_id=f"phantom{i:05d}", seed=i)
+        assert back.landmarks == fresh.landmarks
+        assert np.max(np.abs(back.image - fresh.image)) <= 1 / 65535
 
 
 def test_instance_rng_streams_are_stable_and_distinct():

@@ -246,8 +246,8 @@ def test_equal_seeds_bit_identical(tmp_path):
 
 def test_different_seeds_differ(tmp_path):
     manifest = _tiny_dataset(tmp_path)
-    train_loop(_tiny_run_cfg(seed=0, epochs=1), manifest, tmp_path / "r1")
-    train_loop(_tiny_run_cfg(seed=1, epochs=1), manifest, tmp_path / "r2")
+    train_loop(_tiny_run_cfg(seed=0, epochs=1, warmup_epochs=0), manifest, tmp_path / "r1")
+    train_loop(_tiny_run_cfg(seed=1, epochs=1, warmup_epochs=0), manifest, tmp_path / "r2")
     m1 = (tmp_path / "r1" / "metrics.jsonl").read_bytes()
     m2 = (tmp_path / "r2" / "metrics.jsonl").read_bytes()
     assert m1 != m2
@@ -309,7 +309,7 @@ def test_resume_drops_a_torn_last_metrics_line(tmp_path):
 
 def test_checkpoint_carries_rng_and_optimizer(tmp_path):
     manifest = _tiny_dataset(tmp_path)
-    cfg = _tiny_run_cfg(epochs=1)
+    cfg = _tiny_run_cfg(epochs=1, warmup_epochs=0)
     ckpt = train_loop(cfg, manifest, tmp_path / "run")
     state, opt, rng, cfg_back = load_checkpoint(ckpt)
     assert cfg_back == cfg
@@ -459,12 +459,12 @@ def test_non_finite_gradient_stops_before_update(tmp_path, monkeypatch):
 
 def test_resume_refuses_a_different_config(tmp_path):
     manifest = _tiny_dataset(tmp_path)
-    ckpt = train_loop(_tiny_run_cfg(epochs=1), manifest, tmp_path / "run")
+    ckpt = train_loop(_tiny_run_cfg(epochs=1, warmup_epochs=0), manifest, tmp_path / "run")
     with pytest.raises(AceError, match=r"batch_size \(checkpoint 4, now 2\)"):
-        train_loop(_tiny_run_cfg(epochs=1, batch_size=2), manifest, tmp_path / "run",
+        train_loop(_tiny_run_cfg(epochs=1, warmup_epochs=0, batch_size=2), manifest, tmp_path / "run",
                    resume_from=ckpt)
     # checkpoint cadence does not change the trajectory
-    train_loop(_tiny_run_cfg(epochs=1, checkpoint_every=5), manifest, tmp_path / "run",
+    train_loop(_tiny_run_cfg(epochs=1, warmup_epochs=0, checkpoint_every=5), manifest, tmp_path / "run",
                resume_from=ckpt)
 
 
