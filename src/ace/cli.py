@@ -94,8 +94,8 @@ def _cmd_probe(args) -> int:
         report = pb.retrieval_probe(state, phantoms, rng, n_batches=args.batches)
     elif name == "correspondence":
         side = phantoms[0].image.shape[0]
-        window = args.window or round(3 * side / 4)
-        stride = args.stride or max(1, round(side / 32))
+        window = round(3 * side / 4) if args.window is None else args.window
+        stride = max(1, round(side / 32)) if args.stride is None else args.stride
         report = pb.correspondence_probe(state, phantoms[:args.queries],
                                          phantoms[args.queries:args.queries + args.keys],
                                          window=window, stride=stride)
@@ -163,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batches", type=_count, default=8)
     p.add_argument("--keys", type=_count, default=8)
     p.add_argument("--queries", type=_count, default=1)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--window", type=_count, default=None)
+    p.add_argument("--stride", type=_count, default=None)
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the gradient gate's cases")

@@ -23,18 +23,6 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 class RunConfig:
     # data generation
     phantom_count: int = 512
-    phantom_jitter: float = 0.04
-    phantom_scale_jitter: float = 0.12
-    phantom_noise: float = 0.02
-    phantom_texture: float = 0.15
-    phantom_bg_jitter: float = 0.05
-    phantom_gain_jitter: float = 0.25
-    phantom_field: float = 0.12
-    phantom_weave: float = 0.0
-    phantom_level_jitter: float = 0.25
-    phantom_mosaic: float = 0.0
-    phantom_mosaic_levels: int = 5
-    phantom_mosaic_scale: float = 0.04
 
     # crop geometry (desk defaults; paper scale is G=32, m=32, c1=14, H0=448); C2 spans
     # 2 * crop1_patches patches, and a phantom grid_patches * patch_pixels pixels
@@ -111,19 +99,7 @@ class RunConfig:
                              hidden=self.encoder_hidden)
 
     def phantom_spec(self) -> PhantomSpec:
-        return PhantomSpec(side=self.grid_patches * self.patch_pixels,
-                           jitter_translate=self.phantom_jitter,
-                           jitter_scale=self.phantom_scale_jitter,
-                           intensity_noise=self.phantom_noise,
-                           texture_amp=self.phantom_texture,
-                           bg_jitter=self.phantom_bg_jitter,
-                           gain_jitter=self.phantom_gain_jitter,
-                           field_amp=self.phantom_field,
-                           weave_amp=self.phantom_weave,
-                           level_jitter=self.phantom_level_jitter,
-                           mosaic_contrast=self.phantom_mosaic,
-                           mosaic_levels=self.phantom_mosaic_levels,
-                           mosaic_scale=self.phantom_mosaic_scale)
+        return PhantomSpec(side=self.grid_patches * self.patch_pixels)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -133,8 +109,6 @@ _COMPONENT_KEYS = (
     ("grid_spec", ("grid_patches", "patch_pixels", "crop1_patches", "resize_side")),
     ("encoder_config", ("embed_dim", "crop1_patches", "resize_side", "encoder_depth",
                         "encoder_hidden")),
-    ("phantom_spec", tuple(k for k in _FIELD_TYPES
-                           if k.startswith("phantom_") and k != "phantom_count")),
 )
 
 

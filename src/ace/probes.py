@@ -188,12 +188,14 @@ def retrieval_probe(state: EncoderState, phantoms: list[Phantom],
     n_queries = 0
     for b in range(n_batches):
         chosen = rng.choice(len(phantoms), size=batch_size, replace=False)
-        f_whole = embed_crops(state, [phantoms[int(i)].image for i in chosen])
+        images = [phantoms[int(i)].image for i in chosen]
+        f_whole = embed_crops(state, images)
+        # the squares are drawn in item order, so the RNG stream does not depend on batching
+        squares = [_random_square(rng, img.shape[0]) for img in images]
+        f_query = embed_crops(state, [img[y:y + size, x:x + size]
+                                      for img, (x, y, size) in zip(images, squares)])
         for j in range(batch_size):
-            img = phantoms[int(chosen[j])].image
-            x, y, size = _random_square(rng, img.shape[0])
-            f_query = embed_crops(state, img[y:y + size, x:x + size][None])[0]
-            sims = _cosine_matrix(f_query, f_whole)
+            sims = _cosine_matrix(f_query[j], f_whole)
             pred = int(np.argmax(sims))
             hit = pred == j
             correct += hit

@@ -69,8 +69,8 @@ def weight_decay(step: int, total_steps: int, start: float, end: float) -> float
 # augmentation
 
 
-def augment(rng: np.random.Generator, image: np.ndarray, brightness: float = 0.1,
-            contrast: float = 0.1, noise: float = 0.02, blur_prob: float = 0.0) -> np.ndarray:
+def augment(rng: np.random.Generator, image: np.ndarray, brightness: float,
+            contrast: float, noise: float, blur_prob: float) -> np.ndarray:
     """Photometric-only transform; pixel positions never move."""
     out = image
     c = 1.0 + rng.uniform(-contrast, contrast)

@@ -136,8 +136,13 @@ def test_domain_error_exit_code(tmp_path):
     assert code == 1
 
 
-# retired keys: the grid fixes the C2 side and the phantom side; threads set nothing
-_RETIRED = {"threads": 1, "crop2_patches": 16, "phantom_side": 256}
+# retired keys: the grid fixes the C2 side and the phantom side; threads set nothing;
+# gen-data draws phantoms at PhantomSpec's appearance defaults
+_RETIRED = {"threads": 1, "crop2_patches": 16, "phantom_side": 256,
+            "phantom_jitter": 0.04, "phantom_scale_jitter": 0.12, "phantom_noise": 0.02,
+            "phantom_texture": 0.15, "phantom_bg_jitter": 0.05, "phantom_gain_jitter": 0.25,
+            "phantom_field": 0.12, "phantom_weave": 0.0, "phantom_level_jitter": 0.25,
+            "phantom_mosaic": 0.0, "phantom_mosaic_levels": 5, "phantom_mosaic_scale": 0.04}
 
 
 def test_bad_config_key_exit_code(tmp_path, capsys):
@@ -189,12 +194,10 @@ def test_pipeline_on_a_non_default_grid(tmp_path, capsys):
     ("patch_pixels=0", "patch_pixels = 0: m must be positive, got 0"),
     ("grid_patches=8", "grid_patches = 8: G must be >= c2, got G=8, c2=16"),
     ("resize_side=60", "resize_side = 60: H0 (60) must be divisible by T (8)"),
-    ("encoder_hidden=0", "encoder_hidden = 0: hidden must be at least 1, got 0"),
-    ("phantom_jitter=0.5", "phantom_jitter = 0.5: jitter amplitudes out of the supported "
-                           "envelope")])
+    ("encoder_hidden=0", "encoder_hidden = 0: hidden must be at least 1, got 0")])
 def test_component_error_names_the_key_before_writing(setting, named, tmp_path, capsys):
-    """A value the grid, the encoder or the phantoms cannot be built from is
-    refused by its config key before the output directory exists."""
+    """A value the grid or the encoder cannot be built from is refused by its
+    config key before the output directory exists."""
     out = tmp_path / "o"
     assert main(["geom-verify", "--out", str(out), "--set", setting]) == 1
     assert capsys.readouterr().err.strip() == f"error: {named}"
@@ -251,7 +254,9 @@ def test_usage_error_exit_code():
                                   ["probe", "retrieval", "--batches", "0"],
                                   ["probe", "symmetry", "--samples", "0"],
                                   ["probe", "correspondence", "--keys", "0"],
-                                  ["probe", "correspondence", "--queries", "-1"]])
+                                  ["probe", "correspondence", "--queries", "-1"],
+                                  ["probe", "correspondence", "--window", "0"],
+                                  ["probe", "correspondence", "--stride", "0"]])
 def test_self_check_of_nothing_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

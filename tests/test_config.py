@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import ace
+from ace import config
 from ace.config import RunConfig, apply_overrides, load_config, write_snapshot
 from ace.errors import ConfigError
+from ace.synthgen import PhantomSpec
 
 
 def test_defaults_build_consistent_components():
@@ -16,6 +18,7 @@ def test_defaults_build_consistent_components():
     spec = cfg.grid_spec()
     assert (spec.G, spec.m, spec.c1, spec.c2, spec.H0) == (16, 16, 8, 16, 64)
     assert spec.side == cfg.phantom_spec().side == 256
+    assert cfg.phantom_spec() == PhantomSpec(side=256)
     enc = cfg.encoder_config()
     assert (enc.K, enc.T, enc.H0, enc.depth) == (32, 8, 64, 2)
     assert cfg.base_lr == 5e-4
@@ -56,6 +59,7 @@ def test_config_file_with_comments(tmp_path):
                                 ("# retired\nthreads = 1\n", 2, "'threads'"),
                                 ("crop2_patches = 16\n", 1, "'crop2_patches'"),
                                 ("seed = 3\nphantom_side = 256\n", 2, "'phantom_side'"),
+                                ("phantom_weave = 0.1\n", 1, "'phantom_weave'"),
                                 ("epochs = 7\nepochs = three\n", 2, "epochs"),
                                 ("\n\ncentering = maybe\n", 3, "centering")):
         bad.write_text(text)
@@ -86,6 +90,19 @@ def test_every_run_config_key_is_read():
                 read.add(node.attr)
     unread = [f.name for f in fields(RunConfig) if f.name not in read]
     assert not unread, f"RunConfig keys never read: {unread}"
+
+
+def test_component_keys_match_the_builders():
+    """A key a builder reads but `_COMPONENT_KEYS` misses would make a bad
+    value's error name no key: each builder's `self.<key>` reads are its entry."""
+    tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
+    methods = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    entries = dict(config._COMPONENT_KEYS)
+    for build in ("grid_spec", "encoder_config"):
+        read = {node.attr for node in ast.walk(methods[build])
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "self"}
+        assert read == set(entries[build]), build
 
 
 def test_every_src_definition_is_called():

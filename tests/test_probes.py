@@ -89,6 +89,20 @@ def test_probe_determinism(probe_state, probe_phantoms):
     assert r1.samples == r2.samples
 
 
+def test_retrieval_embeds_each_batch_in_two_calls(probe_state, probe_phantoms, monkeypatch):
+    """One call for the whole images and one for the query squares, not one per query."""
+    rows = []
+    real = pb.encode_batch
+
+    def spy(cfg, params, images):
+        rows.append(len(images))
+        return real(cfg, params, images)
+
+    monkeypatch.setattr(pb, "encode_batch", spy)
+    pb.retrieval_probe(probe_state, probe_phantoms, np.random.default_rng(7), n_batches=2)
+    assert rows == [32, 32, 32, 32]
+
+
 def test_retrieval_needs_enough_phantoms(probe_state, probe_phantoms):
     with pytest.raises(ParameterError):
         pb.retrieval_probe(probe_state, probe_phantoms[:5],
