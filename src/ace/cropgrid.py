@@ -1,4 +1,5 @@
-"""Grid-wise image cropping: aligned crop pairs, their overlap masks, resize.
+"""Grid-wise image cropping: aligned crop pairs, their overlap masks, resize,
+and the box mean that turns every integer-downscaled crop into a strided view.
 
 Images are plain 2-d float arrays with intensities in [0, 1].  Grid
 coordinates follow an (x, y) = (column, row) convention; token coordinates
@@ -108,6 +109,28 @@ def resize(src: np.ndarray, out_side: int) -> np.ndarray:
         + src[lo][:, hi] * np.outer(1 - frac, frac) \
         + src[hi][:, lo] * np.outer(frac, 1 - frac) \
         + src[hi][:, hi] * np.outer(frac, frac)
+
+
+def box_mean(image: np.ndarray, f: int) -> np.ndarray:
+    """The f x f box mean at every pixel offset: out[y, x] = image[y:y+f, x:x+f].mean().
+
+    It adds as resize's integer-downscale branch does: each row's f columns
+    by numpy's row sum (left to right below 8 columns, in numpy's pairwise
+    blocks from 8 on), then the f rows top to bottom, then divides by f*f.
+    So out[y:y+f*n:f, x:x+f*n:f] equals resize(image[y:y+f*n, x:x+f*n], n)
+    bit for bit, and every crop of side f*n is a strided view of one pass.
+    """
+    if image.ndim != 2 or not 1 <= f <= min(image.shape):
+        raise ParameterError(f"box_mean: f={f} does not fit an image of shape {image.shape}")
+    h, w = image.shape
+    cols = np.empty((h, w - f + 1))
+    for o in range(f):
+        k = (w - o) // f
+        cols[:, o::f] = image[:, o:o + f * k].reshape(h, k, f).sum(axis=2)
+    out = cols[:h - f + 1]
+    for j in range(1, f):
+        out = out + cols[j:h - f + 1 + j]
+    return out / (f * f)
 
 
 def extract_and_resize(image: np.ndarray, anchor: tuple[int, int],

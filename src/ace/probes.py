@@ -1,7 +1,10 @@
 """Frozen-checkpoint property probes scored against synthetic ground truth.
 
 All probes share one feature extractor: crop, resize to the encoder input
-side, student encode, mean over tokens.  No probe fine-tunes anything, and
+side, student encode, mean over tokens.  The correspondence key windows
+whose side is a multiple of H0 are box-pooled once per key image
+(`cropgrid.box_mean`) and reach it as H0-side views, which resize only
+copies.  No probe fine-tunes anything, and
 feature extraction never sees labels; ground truth enters only at scoring
 time.  Each probe is a pure function of (checkpoint, phantoms, seed).
 """
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cropgrid import resize
+from .cropgrid import box_mean, resize
 from .errors import ParameterError
 from .model import EncoderState, encode_batch
 from .synthgen import MIRROR_PAIRS, Phantom
@@ -50,7 +53,8 @@ def embed_crops(state: EncoderState, crops) -> np.ndarray:
     """Shared feature path: resize each crop to H0, encode, mean-pool tokens -> (B, K).
 
     ``crops`` is a sized sequence of square crops of any side: a list of
-    arrays or views, or a stack."""
+    arrays or views, or a stack.  Correspondence key windows at a multiple
+    of H0 arrive box-pooled in `cropgrid.box_mean`, as H0-side views."""
     cfg = state.config
     feats = []
     for i in range(0, len(crops), _ENCODE_CHUNK):
@@ -213,12 +217,19 @@ def _key_dictionary(state: EncoderState, image: np.ndarray, window: int, stride:
     """Features of all stride-grid windows plus their center coordinates.
 
     The image is zero padded by half a window so the grid of window centers
-    covers every image pixel, including landmarks close to the border.
+    covers every image pixel, including landmarks close to the border.  At a
+    window of f * H0 the padded image is box-pooled once (`box_mean`), and
+    each window is the H0-side view box[y:y+window:f, x:x+window:f], equal
+    bit for bit to resizing the window itself; any other window is a view of
+    the padded image, resized in embed_crops.
     """
     half = window // 2
     padded = np.pad(image, half)
-    view = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
-    view = view[::stride, ::stride]
+    h0 = state.config.H0
+    f = window // h0 if window % h0 == 0 else 1
+    source = box_mean(padded, f) if f > 1 else padded
+    view = np.lib.stride_tricks.sliding_window_view(source, (window - f + 1,) * 2)
+    view = view[::stride, ::stride, ::f, ::f]
     ny, nx = view.shape[:2]
     feats = embed_crops(state, [w for row in view for w in row])
     ys, xs = np.mgrid[0:ny, 0:nx]

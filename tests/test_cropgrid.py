@@ -15,11 +15,12 @@ import reference
 import ace
 import ace.model as model
 import ace.tensor as tz
-from ace.cropgrid import (GridSpec, compute_overlap, extract_and_resize, resize,
+from ace.cropgrid import (GridSpec, box_mean, compute_overlap, extract_and_resize, resize,
                           sample_crop_pair)
 from ace.errors import AlignmentError, GeometryError, ParameterError, ShapeError
 from ace.objective import build_target
 from ace.pixelcheck import _block_members, _token_rects, overlap_via_pixels, verify_geometry
+from ace.synthgen import PhantomSpec, generate
 
 
 def test_spec_validation():
@@ -182,6 +183,35 @@ def test_resize_rejects_non_square():
         resize(np.zeros((3, 4, 4)), 2)
     with pytest.raises(ShapeError):
         resize(np.zeros(4), 2)
+
+
+@pytest.mark.parametrize("source", ["phantom", "noise"])
+def test_box_mean_slices_equal_resize_bit_for_bit(source):
+    """Every crop of side f*n is a strided slice of one box mean, equal to
+    resizing the crop itself; a numpy change to the order in which either
+    adds fails here rather than moving the probes' outputs."""
+    if source == "phantom":
+        img = generate(np.random.default_rng(0), PhantomSpec(side=64)).image
+    else:
+        img = np.random.default_rng(4).random((64, 64))
+    for f in (1, 2, 3, 4, 8, 9):
+        box = box_mean(img, f)
+        assert box.shape == (64 - f + 1, 64 - f + 1)
+        n = (64 - f) // f
+        for y in range(f):
+            for x in range(f):
+                assert np.array_equal(box[y:y + f * n:f, x:x + f * n:f],
+                                      resize(img[y:y + f * n, x:x + f * n], n)), (f, y, x)
+
+
+def test_box_mean_refuses_factors_that_do_not_fit():
+    img = np.zeros((6, 5))
+    assert box_mean(img, 5).shape == (2, 1)
+    for f in (0, -1, 6):
+        with pytest.raises(ParameterError, match=rf"f={f} does not fit an image of shape \(6, 5\)"):
+            box_mean(img, f)
+    with pytest.raises(ParameterError, match=r"shape \(2, 4, 4\)"):
+        box_mean(np.zeros((2, 4, 4)), 2)
 
 
 def test_extract_and_resize(desk_spec):

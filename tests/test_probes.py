@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ace.probes as pb
-from ace.cropgrid import resize
+from ace.cropgrid import box_mean, resize
 from ace.errors import ParameterError
 from ace.model import EncoderConfig, init
 from ace.synthgen import PhantomSpec, generate, instance_rng
@@ -64,6 +64,65 @@ def test_correspondence_windows_stay_views(probe_state):
     finally:
         tracemalloc.stop()
     assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
+
+
+def _view_list_keys(state, image, window, stride):
+    """The key dictionary's features before pooling: every window a view of
+    the padded image, resized on its own in embed_crops."""
+    half = window // 2
+    view = np.lib.stride_tricks.sliding_window_view(np.pad(image, half), (window, window))
+    return pb.embed_crops(state, [w for row in view[::stride, ::stride] for w in row])
+
+
+def _count_box_means(monkeypatch):
+    calls = []
+
+    def spy(image, f):
+        calls.append(f)
+        return box_mean(image, f)
+
+    monkeypatch.setattr(pb, "box_mean", spy)
+    return calls
+
+
+@pytest.mark.parametrize("window,stride", [(192, 8), (192, 5), (128, 8)])
+def test_pooled_key_dictionary_equals_view_list(window, stride, probe_state, monkeypatch):
+    """A window at a multiple of H0 (32 here) is a strided view of one box
+    mean, and its features equal resizing each window, bit for bit."""
+    ph = generate(np.random.default_rng(0), PhantomSpec(side=256))
+    calls = _count_box_means(monkeypatch)
+    feats, centers = pb._key_dictionary(probe_state, ph.image, window, stride)
+    assert calls == [window // probe_state.config.H0]
+    assert np.array_equal(feats, _view_list_keys(probe_state, ph.image, window, stride))
+    grid = np.arange(0, 256 + 1, stride, dtype=float)
+    assert np.array_equal(centers, np.stack(np.meshgrid(grid, grid), -1).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("window", [48, 200])
+def test_other_windows_keep_the_view_path(window, probe_state, probe_phantoms, monkeypatch):
+    calls = _count_box_means(monkeypatch)
+    image = probe_phantoms[0].image
+    feats, _ = pb._key_dictionary(probe_state, image, window, 16)
+    assert calls == []
+    assert np.array_equal(feats, _view_list_keys(probe_state, image, window, 16))
+
+
+def test_key_windows_reach_embed_crops_at_h0(probe_state, monkeypatch):
+    """At window 192 no key window is downscaled on its own: the query crops
+    are resized from 192, and every resize of one of the 1,089 key windows
+    sees side H0 and only copies."""
+    ph = generate(np.random.default_rng(0), PhantomSpec(side=256))
+    sides = []
+
+    def spy(src, out_side):
+        sides.append((src.shape, out_side))
+        return resize(src, out_side)
+
+    monkeypatch.setattr(pb, "resize", spy)
+    pb.correspondence_probe(probe_state, [ph], [ph], window=192, stride=8)
+    h0 = probe_state.config.H0
+    queries = [((192, 192), h0)] * len(ph.landmarks)
+    assert sides == queries + [((h0, h0), h0)] * 33 ** 2
 
 
 def test_compositionality_probe_mechanics(probe_state, probe_phantoms):
