@@ -95,12 +95,14 @@ def resize(src: np.ndarray, out_side: int) -> np.ndarray:
     """Bilinear resize of one square image; exact box average on integer downscale."""
     if src.ndim != 2 or src.shape[0] != src.shape[1]:
         raise ShapeError(f"resize: expected a square image, got {src.shape}")
+    if out_side < 1:
+        raise ShapeError(f"resize: out_side must be at least 1, got {out_side}")
     s = src.shape[0]
     if s == out_side:
         return src.copy()
     if s % out_side == 0:
         f = s // out_side
-        return src.reshape(out_side, f, out_side, f).mean(axis=(1, 3))
+        return _box_sum(src, f, f) / (f * f)
     coords = (np.arange(out_side) + 0.5) * (s / out_side) - 0.5
     lo = np.clip(np.floor(coords).astype(int), 0, s - 1)
     hi = np.clip(lo + 1, 0, s - 1)
@@ -114,23 +116,44 @@ def resize(src: np.ndarray, out_side: int) -> np.ndarray:
 def box_mean(image: np.ndarray, f: int) -> np.ndarray:
     """The f x f box mean at every pixel offset: out[y, x] = image[y:y+f, x:x+f].mean().
 
-    It adds as resize's integer-downscale branch does: each row's f columns
-    by numpy's row sum (left to right below 8 columns, in numpy's pairwise
-    blocks from 8 on), then the f rows top to bottom, then divides by f*f.
-    So out[y:y+f*n:f, x:x+f*n:f] equals resize(image[y:y+f*n, x:x+f*n], n)
-    bit for bit, and every crop of side f*n is a strided view of one pass.
+    It shares resize's integer-downscale kernel, so out[y:y+f*n:f, x:x+f*n:f]
+    equals resize(image[y:y+f*n, x:x+f*n], n) bit for bit, and every crop of
+    side f*n is a strided view of one pass.
     """
     if image.ndim != 2 or not 1 <= f <= min(image.shape):
         raise ParameterError(f"box_mean: f={f} does not fit an image of shape {image.shape}")
+    return _box_sum(image, f, 1) / (f * f)
+
+
+def _box_sum(image: np.ndarray, f: int, step: int) -> np.ndarray:
+    """Sums of the f x f boxes whose corners lie on a step x step lattice.
+
+    `step` is f (resize) or 1 (box_mean).  The additions follow numpy's
+    reshape(n, f, n, f).mean(axis=(1, 3)): each row's f columns first, then
+    the f rows top to bottom.  numpy adds fewer than 8 terms left to right,
+    which f - 1 shifted adds of strided column views repeat; from 8 terms on
+    it adds in pairwise blocks, so there the columns go through its own row
+    sum.  (At one output pixel, out_side 1, numpy merges the box into one
+    pairwise sum of f*f terms, and the bits can differ.)
+    """
+    if f == 1:
+        return image
     h, w = image.shape
-    cols = np.empty((h, w - f + 1))
-    for o in range(f):
-        k = (w - o) // f
-        cols[:, o::f] = image[:, o:o + f * k].reshape(h, k, f).sum(axis=2)
-    out = cols[:h - f + 1]
-    for j in range(1, f):
-        out = out + cols[j:h - f + 1 + j]
-    return out / (f * f)
+    ny, nx = (h - f) // step + 1, (w - f) // step + 1
+    xspan, yspan = (nx - 1) * step + 1, (ny - 1) * step + 1
+    if f < 8:
+        cols = image[:, :xspan:step] + image[:, 1:1 + xspan:step]
+        for o in range(2, f):
+            cols += image[:, o:o + xspan:step]
+    else:
+        cols = np.empty((h, nx))
+        for o in range(0, f, step):
+            k = (w - o) // f
+            cols[:, o // step::f // step] = image[:, o:o + f * k].reshape(h, k, f).sum(axis=2)
+    out = cols[:yspan:step] + cols[1:1 + yspan:step]
+    for j in range(2, f):
+        out += cols[j:j + yspan:step]
+    return out
 
 
 def extract_and_resize(image: np.ndarray, anchor: tuple[int, int],

@@ -3,8 +3,8 @@
 All probes share one feature extractor: crop, resize to the encoder input
 side, student encode, mean over tokens.  The correspondence key windows
 whose side is a multiple of H0 are box-pooled once per key image
-(`cropgrid.box_mean`) and reach it as H0-side views, which resize only
-copies.  No probe fine-tunes anything, and
+(`cropgrid.box_mean`) and reach it as H0-side views, which are stacked
+without a resize.  No probe fine-tunes anything, and
 feature extraction never sees labels; ground truth enters only at scoring
 time.  Each probe is a pure function of (checkpoint, phantoms, seed).
 """
@@ -53,13 +53,15 @@ def embed_crops(state: EncoderState, crops) -> np.ndarray:
     """Shared feature path: resize each crop to H0, encode, mean-pool tokens -> (B, K).
 
     ``crops`` is a sized sequence of square crops of any side: a list of
-    arrays or views, or a stack.  Correspondence key windows at a multiple
-    of H0 arrive box-pooled in `cropgrid.box_mean`, as H0-side views."""
+    arrays or views, or a stack.  A crop already H0 x H0 is stacked as it
+    is; correspondence key windows at a multiple of H0 arrive that way,
+    box-pooled in `cropgrid.box_mean`, as H0-side views."""
     cfg = state.config
     feats = []
     for i in range(0, len(crops), _ENCODE_CHUNK):
-        resized = np.stack([resize(np.asarray(c, dtype=float), cfg.H0)
-                            for c in crops[i:i + _ENCODE_CHUNK]])
+        chunk = [np.asarray(c, dtype=float) for c in crops[i:i + _ENCODE_CHUNK]]
+        resized = np.stack([c if c.shape == (cfg.H0, cfg.H0) else resize(c, cfg.H0)
+                            for c in chunk])
         feats.append(encode_batch(cfg, state.student, resized).mean(axis=1))
     return np.concatenate(feats, axis=0)
 

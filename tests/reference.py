@@ -2,7 +2,8 @@
 
 None of these runs in training or in a probe: the matching loss on an
 explicit probability matrix, the overlap-mask pooling between the C1 and
-C2 token lattices, and the grid footprint of a crop token.
+C2 token lattices, the grid footprint of a crop token, and the box average
+of an integer downscale.
 """
 
 import numpy as np
@@ -35,3 +36,10 @@ def token_to_grid(crop_role, anchor, token):
     extent = {"C1": 1, "C2": 2}[crop_role]
     r, c = token
     return (anchor[0] + extent * c, anchor[1] + extent * r), extent
+
+
+def box_downscale(src, n):
+    """Exact box average of a square image onto n x n: each output pixel is
+    the mean of its f x f block, f = side / n, as numpy's two-axis mean."""
+    f = src.shape[0] // n
+    return src.reshape(n, f, n, f).mean(axis=(1, 3))

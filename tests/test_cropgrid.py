@@ -183,25 +183,35 @@ def test_resize_rejects_non_square():
         resize(np.zeros((3, 4, 4)), 2)
     with pytest.raises(ShapeError):
         resize(np.zeros(4), 2)
+    for out_side in (0, -64):
+        with pytest.raises(ShapeError, match=f"out_side must be at least 1, got {out_side}"):
+            resize(np.zeros((4, 4)), out_side)
 
 
 @pytest.mark.parametrize("source", ["phantom", "noise"])
 def test_box_mean_slices_equal_resize_bit_for_bit(source):
-    """Every crop of side f*n is a strided slice of one box mean, equal to
-    resizing the crop itself; a numpy change to the order in which either
-    adds fails here rather than moving the probes' outputs."""
+    """Every crop of side f*n is a strided slice of one box mean, and it,
+    resize of the crop view and resize of a contiguous copy all equal the
+    plain reshape-mean reference bit for bit: f on both sides of numpy's
+    8-term switch, at three scales.  A change to the order in which the
+    shared kernel or numpy adds fails here rather than moving the anchors."""
     if source == "phantom":
-        img = generate(np.random.default_rng(0), PhantomSpec(side=64)).image
+        base = generate(np.random.default_rng(0), PhantomSpec(side=64)).image
     else:
-        img = np.random.default_rng(4).random((64, 64))
-    for f in (1, 2, 3, 4, 8, 9):
-        box = box_mean(img, f)
-        assert box.shape == (64 - f + 1, 64 - f + 1)
-        n = (64 - f) // f
-        for y in range(f):
-            for x in range(f):
-                assert np.array_equal(box[y:y + f * n:f, x:x + f * n:f],
-                                      resize(img[y:y + f * n, x:x + f * n], n)), (f, y, x)
+        base = np.random.default_rng(4).random((64, 64))
+    for scale in (1.0, 1e-8, 1e8):
+        img = base * scale
+        for f in (1, 2, 3, 4, 7, 8, 9, 16):
+            box = box_mean(img, f)
+            assert box.shape == (64 - f + 1, 64 - f + 1)
+            n = (64 - f) // f
+            for y in range(f):
+                for x in range(f):
+                    crop = img[y:y + f * n, x:x + f * n]
+                    expect = reference.box_downscale(crop, n)
+                    assert np.array_equal(box[y:y + f * n:f, x:x + f * n:f], expect), (f, y, x)
+                    assert np.array_equal(resize(crop, n), expect), (f, y, x)
+                    assert np.array_equal(resize(np.ascontiguousarray(crop), n), expect), (f, y, x)
 
 
 def test_box_mean_refuses_factors_that_do_not_fit():
@@ -219,9 +229,11 @@ def test_extract_and_resize(desk_spec):
     img = rng.random((desk_spec.side, desk_spec.side))
     out = extract_and_resize(img, (2, 4), desk_spec.c1, desk_spec)
     assert out.shape == (desk_spec.H0, desk_spec.H0)
-    # C1 crop at desk scale is 128 px -> 64, an exact box average
+    # C1 crop at desk scale is 128 px -> 64, C2 256 px -> 64: exact box averages
     crop = img[4 * 16:4 * 16 + 128, 2 * 16:2 * 16 + 128]
-    assert np.allclose(out, resize(crop, 64))
+    assert np.array_equal(out, np.clip(reference.box_downscale(crop, 64), 0.0, 1.0))
+    out = extract_and_resize(img, (0, 0), desk_spec.c2, desk_spec)
+    assert np.array_equal(out, np.clip(reference.box_downscale(img, 64), 0.0, 1.0))
     with pytest.raises(GeometryError):
         extract_and_resize(img, (12, 0), desk_spec.c1, desk_spec)
 

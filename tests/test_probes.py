@@ -109,20 +109,26 @@ def test_other_windows_keep_the_view_path(window, probe_state, probe_phantoms, m
 
 def test_key_windows_reach_embed_crops_at_h0(probe_state, monkeypatch):
     """At window 192 no key window is downscaled on its own: the query crops
-    are resized from 192, and every resize of one of the 1,089 key windows
-    sees side H0 and only copies."""
+    are resized from 192, and the 1,089 key windows reach embed_crops at
+    side H0, where they are stacked without a call to resize."""
     ph = generate(np.random.default_rng(0), PhantomSpec(side=256))
-    sides = []
+    sides, embedded = [], []
 
     def spy(src, out_side):
         sides.append((src.shape, out_side))
         return resize(src, out_side)
 
+    def embed_spy(state, crops):
+        embedded.extend(c.shape for c in crops)
+        return embed(state, crops)
+
+    embed = pb.embed_crops
     monkeypatch.setattr(pb, "resize", spy)
+    monkeypatch.setattr(pb, "embed_crops", embed_spy)
     pb.correspondence_probe(probe_state, [ph], [ph], window=192, stride=8)
     h0 = probe_state.config.H0
-    queries = [((192, 192), h0)] * len(ph.landmarks)
-    assert sides == queries + [((h0, h0), h0)] * 33 ** 2
+    assert sides == [((192, 192), h0)] * len(ph.landmarks)
+    assert embedded == [(192, 192)] * len(ph.landmarks) + [(h0, h0)] * 33 ** 2
 
 
 def test_compositionality_probe_mechanics(probe_state, probe_phantoms):
