@@ -7,6 +7,7 @@ artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -14,9 +15,6 @@ from .cropgrid import GridSpec
 from .errors import ConfigError, ParameterError
 from .model import EncoderConfig
 from .synthgen import PhantomSpec
-
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 @dataclass
@@ -51,8 +49,6 @@ class RunConfig:
     alpha_decomp: float = 0.99
     tau_student: float = 0.1
     tau_teacher: float = 0.04
-    centering: bool = True
-    positive_only: bool = False
     checkpoint_every: int = 10
     seed: int = 0
 
@@ -68,17 +64,29 @@ class RunConfig:
 
     def check(self) -> None:
         """Refuse, by key and value, a loop shape that would crash the training
-        loop or misdirect it, and values a component cannot be built from."""
+        loop or misdirect it, a loss or target value the first step would fail
+        on or silently misuse, and values a component cannot be built from."""
+        for key in (k for k, ftype in _FIELD_TYPES.items() if ftype == "float"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         for key, least in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 1),
-                           ("warmup_epochs", 0)):
+                           ("warmup_epochs", 0), ("kernel_size", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.warmup_epochs >= self.epochs:
             # the learning rate would end the run at its peak, with no decay
             raise ConfigError(f"warmup_epochs must be below epochs ({self.epochs}), "
                               f"got {self.warmup_epochs}")
-        if not self.grad_clip_norm > 0:
-            raise ConfigError(f"grad_clip_norm must be positive, got {self.grad_clip_norm}")
+        if self.kernel_size % 2 == 0:  # no centre cell to put on the matched token
+            raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
+        for key in ("grad_clip_norm", "tau_student", "tau_teacher", "kernel_sigma"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        for key in ("alpha_comp", "alpha_decomp"):  # 1 - alpha weighs the negatives
+            alpha = getattr(self, key)
+            if not 0 <= alpha <= 1:
+                raise ConfigError(f"{key} must be at {'least 0' if alpha < 0 else 'most 1'}, "
+                                  f"got {alpha}")
         for build, keys in _COMPONENT_KEYS:
             try:
                 getattr(self, build)()
@@ -113,23 +121,11 @@ _COMPONENT_KEYS = (
 
 
 def _parse_value(key: str, raw: str):
-    ftype = _FIELD_TYPES[key]
-    raw = raw.strip()
-    if ftype == "bool":
-        low = raw.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    parse = int if _FIELD_TYPES[key] == "int" else float
     try:
-        if ftype == "int":
-            return int(raw)
-        if ftype == "float":
-            return float(raw)
+        return parse(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
-    raise ConfigError(f"{key}: unsupported field type {ftype}")
 
 
 def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:

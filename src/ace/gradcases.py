@@ -47,8 +47,7 @@ def primitive_cases(rng: np.random.Generator):
         ("reshape", lambda t: tz.reshape(t, (8, 4)), a),
         ("masked_mean_pool", lambda t: tz.masked_mean_pool(t, mask3[0]), a),
         ("cross_entropy_with_logits", lambda t: ce(p3[0], t, 0.5), a[0]),
-        ("match_loss_two_sided", lambda t: match(t, t3[0], 0.9), a),
-        ("match_loss_positive_only", lambda t: match(t, t3[0], 0.9, positive_only=True), a),
+        ("match_loss", lambda t: match(t, t3[0], 0.9), a),
         ("matmul_shared_left", lambda t: tz.matmul(t, Tensor(a3)), sq),
         ("matmul_shared_right", lambda t: tz.matmul(Tensor(a3), t), w),
         ("matmul_batch_both", lambda t: tz.matmul(t, Tensor(w3)), a3),
@@ -60,8 +59,7 @@ def primitive_cases(rng: np.random.Generator):
         ("layer_norm_batch_bias", lambda t: tz.layer_norm(Tensor(a3), Tensor(v), t), u),
         ("masked_mean_pool_batch", lambda t: tz.masked_mean_pool(t, mask3), a3),
         ("cross_entropy_with_logits_rows", lambda t: ce(p3, t, 0.5), a3[:, 0]),
-        ("match_loss_batch_two_sided", lambda t: match(t, t3, 0.9), a3),
-        ("match_loss_batch_positive_only", lambda t: match(t, t3, 0.9, positive_only=True), a3),
+        ("match_loss_batch", lambda t: match(t, t3, 0.9), a3),
     ]
 
 

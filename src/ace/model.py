@@ -263,8 +263,10 @@ def read_blob_file(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise FormatError(f"{path}: header is not an object with a 'blobs' list")
         arrays = {}
         for blob in header.pop("blobs"):
-            name = _field(blob, "name", path, "a blob entry")
-            shape = tuple(_field(blob, "shape", path, f"blob {name!r}"))
+            name = _field(blob, "name", path, "a blob entry", str)
+            shape = _field(blob, "shape", path, f"blob {name!r}", list)
+            if not all(type(n) is int and n >= 0 for n in shape):
+                raise FormatError(f"{path}: blob {name!r} has shape {shape}, expected sizes")
             count = int(np.prod(shape)) if shape else 1
             buf = f.read(8 * count)
             if len(buf) != 8 * count:
@@ -273,20 +275,27 @@ def read_blob_file(path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def _field(record, key: str, path, what: str):
-    """record[key], or a FormatError naming the file and the missing key."""
+def _field(record, key: str, path, what: str, kind: type | None = None):
+    """record[key], or a FormatError naming the file and the key if it is
+    missing or, with `kind` given, not of that type (an int passes as a float)."""
     try:
-        return record[key]
+        value = record[key]
     except (KeyError, TypeError):
         raise FormatError(f"{path}: {what} has no {key!r}") from None
+    if kind is not None and not (type(value) is kind or kind is float and type(value) is int):
+        raise FormatError(f"{path}: {what} has {key!r} = {value!r}, expected {kind.__name__}")
+    return value
 
 
 def config_from_header(cls, values: dict, path):
-    """Rebuild config dataclass `cls` from a checkpoint; unknown keys are refused."""
+    """Rebuild config dataclass `cls` from a checkpoint; unknown keys and
+    values not of their field's type are refused."""
     unknown = sorted(set(values) - {f.name for f in fields(cls)})
     if unknown:
         raise FormatError(f"{path}: unknown {cls.__name__} key(s) "
                           + ", ".join(map(repr, unknown)))
+    for key in values:
+        _field(values, key, path, f"the {cls.__name__}", type(getattr(cls, key)))
     return cls(**values)
 
 
@@ -315,7 +324,8 @@ def _blob(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...], path
 
 def load_state(path) -> tuple[EncoderState, dict, dict[str, np.ndarray]]:
     header, arrays = read_blob_file(path)
-    cfg = config_from_header(EncoderConfig, _field(header, "config", path, "the header"), path)
+    cfg = config_from_header(EncoderConfig, _field(header, "config", path, "the header", dict),
+                             path)
     center = _blob(arrays, "center", (cfg.K,), path)
     shapes = _param_shapes(cfg)
     stray = next((n for n in arrays if n.startswith(("student.", "teacher."))
@@ -329,5 +339,5 @@ def load_state(path) -> tuple[EncoderState, dict, dict[str, np.ndarray]]:
     extra_arrays = {name[len("extra."):]: a for name, a in arrays.items()
                     if name.startswith("extra.")}
     state = EncoderState(config=cfg, student=student, teacher=teacher,
-                         center=center, step=int(_field(header, "step", path, "the header")))
+                         center=center, step=_field(header, "step", path, "the header", int))
     return state, header.get("extra", {}), extra_arrays

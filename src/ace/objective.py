@@ -94,17 +94,16 @@ def matching_logits(y_teacher: Tensor, y_student_head: Tensor) -> Tensor:
     return tz.matmul(y_teacher, tz.swapaxes(y_student_head, -1, -2))
 
 
-def matching_loss_logits(z: Tensor, target: np.ndarray, alpha: float,
-                         positive_only: bool = False) -> Tensor:
+def matching_loss_logits(z: Tensor, target: np.ndarray, alpha: float) -> Tensor:
     """Numerically stable matching loss taken directly on pre-sigmoid logits.
 
     ``target`` is (R, C) for one crop pair or a (B, R, C) stack for a batch.
     """
-    return tz.weighted_match_loss_logits(z, target, alpha, positive_only=positive_only)
+    return tz.weighted_match_loss_logits(z, target, alpha)
 
 
 def teacher_distribution(t_pooled: np.ndarray, center: np.ndarray, tau_t: float) -> np.ndarray:
-    """Detached teacher softmax with optional centering shift applied first.
+    """Detached teacher softmax with the centering shift applied first.
 
     A (B, K) input gives one distribution per row.
     """

@@ -364,15 +364,13 @@ def cross_entropy_with_logits(p: np.ndarray, z: Tensor, tau: float) -> Tensor:
     return _record(np.asarray(out), (z,), bw)
 
 
-def weighted_match_loss_logits(z: Tensor, target: np.ndarray, alpha: float,
-                               positive_only: bool = False) -> Tensor:
+def weighted_match_loss_logits(z: Tensor, target: np.ndarray, alpha: float) -> Tensor:
     """Stable correspondence-matching loss on pre-sigmoid logits.
 
-    Two-sided form (default):
         L = mean over rows of sum_cols[ alpha*T*softplus(-z) + (1-alpha)*(1-T)*softplus(z) ]
     which equals -mean_rows sum_cols[ alpha*T*log(sigmoid z) + (1-alpha)*(1-T)*log(1-sigmoid z) ].
-    The positive-only variant keeps just the first term.  A (B, R, C) batch of
-    logit matrices with its stacked targets gives the mean of the B losses.
+    alpha = 1 leaves the positive term alone.  A (B, R, C) batch of logit
+    matrices with its stacked targets gives the mean of the B losses.
     """
     t = np.asarray(target, dtype=z.data.dtype)
     if t.shape != z.data.shape:
@@ -386,12 +384,9 @@ def weighted_match_loss_logits(z: Tensor, target: np.ndarray, alpha: float,
     # with softplus(-z) = softplus(z) - z, the weighted sum
     # pos*softplus(-z) + neg*softplus(z) is w*softplus(z) - pos*z for w = pos + neg
     pos = alpha * t
-    if positive_only:
-        w = pos
-    else:
-        w = 1.0 - t
-        w *= 1.0 - alpha
-        w += pos
+    w = 1.0 - t
+    w *= 1.0 - alpha
+    w += pos
     out = (np.vdot(w, softplus) - np.vdot(pos, x)) / rows
 
     def bw(g):

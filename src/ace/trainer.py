@@ -212,15 +212,13 @@ def _batch_losses(state: model.EncoderState, batch: list[tuple[np.ndarray, cropg
     z_comp = objective.matching_logits(
         Tensor(t[b:]), model.compose_head(state.student, tz.slice_batch(s, 0, b)))
     loss_comp = objective.matching_loss_logits(
-        z_comp, _target_stack(pairs, spec, "composition", cfg), cfg.alpha_comp,
-        positive_only=cfg.positive_only)
+        z_comp, _target_stack(pairs, spec, "composition", cfg), cfg.alpha_comp)
 
     # decomposition: C2 -> student -> decomposer vs C1 -> teacher
     z_dec = objective.matching_logits(
         Tensor(t[:b]), model.decompose_head(state.student, tz.slice_batch(s, b, 2 * b)))
     loss_decomp = objective.matching_loss_logits(
-        z_dec, _target_stack(pairs, spec, "decomposition", cfg), cfg.alpha_decomp,
-        positive_only=cfg.positive_only)
+        z_dec, _target_stack(pairs, spec, "decomposition", cfg), cfg.alpha_decomp)
 
     # global: each crop's pooled overlap embedding against the teacher's for
     # the other crop of its pair (both orderings), through the projection heads
@@ -260,8 +258,7 @@ def train_step(state: model.EncoderState, opt: AdamW,
 
     lam = model.ema_lambda(min(state.step + 1, total_steps), total_steps)
     model.ema_update(state, lam)
-    if cfg.centering:
-        state.center = objective.update_center(state.center, t_pooled)
+    state.center = objective.update_center(state.center, t_pooled)
     state.step += 1
     return StepRecord(step=state.step, epoch=epoch, ema_lambda=lam, lr=lr,
                       weight_decay=wd, loss_global=loss_global.item(),
@@ -288,13 +285,14 @@ def load_checkpoint(path):
     """Returns (state, optimizer, rng, run_config)."""
     state, extra, extra_arrays = model.load_state(path)
     what = "the header's extra"
-    cfg = model.config_from_header(RunConfig, model._field(extra, "run_config", path, what), path)
+    cfg = model.config_from_header(RunConfig, model._field(extra, "run_config", path, what, dict),
+                                   path)
     opt = AdamW(state.student)
     moments = {name: model._blob(extra_arrays, name, a.shape, path, "the optimizer state")
                for name, a in opt.state_arrays().items()}
-    opt.load_state_arrays(moments, int(model._field(extra, "opt_t", path, what)))
+    opt.load_state_arrays(moments, model._field(extra, "opt_t", path, what, int))
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = json.loads(model._field(extra, "rng_state", path, what))
+    rng.bit_generator.state = json.loads(model._field(extra, "rng_state", path, what, str))
     return state, opt, rng, cfg
 
 
@@ -342,19 +340,21 @@ def train_loop(cfg: RunConfig, manifest_path, out_dir, resume_from=None,
     The call runs on one OpenBLAS thread and restores the count it found.
     """
     cfg.check()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec = cfg.grid_spec()
     phantoms = load_manifest(manifest_path)
     images = [p.image for p in phantoms]
-    if not images:
-        raise AceError(f"no phantoms in manifest {manifest_path}")
+    if cfg.batch_size > len(images):
+        # a step would see fewer pairs than the batch size the checkpoint records
+        raise AceError(f"batch_size {cfg.batch_size} exceeds the {len(images)} phantoms "
+                       f"in manifest {manifest_path}")
     for img in images:
         if img.shape != (spec.side, spec.side):
             raise AceError(
                 f"phantom shape {img.shape} does not match grid side {spec.side}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    steps_per_epoch = max(1, len(images) // cfg.batch_size)
+    steps_per_epoch = len(images) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
 

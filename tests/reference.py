@@ -9,13 +9,11 @@ of an integer downscale.
 import numpy as np
 
 
-def matching_loss(m, t, alpha, positive_only=False):
+def matching_loss(m, t, alpha):
     """-mean over rows of sum_cols[alpha*T*log M + (1-alpha)*(1-T)*log(1-M)];
-    the positive-only form drops the second term."""
+    alpha = 1 leaves the first term alone."""
     m, t = np.asarray(m, dtype=float), np.asarray(t, dtype=float)
-    terms = alpha * t * np.log(m)
-    if not positive_only:
-        terms = terms + (1.0 - alpha) * (1.0 - t) * np.log1p(-m)
+    terms = alpha * t * np.log(m) + (1.0 - alpha) * (1.0 - t) * np.log1p(-m)
     return -terms.sum() / (m.size // m.shape[-1])
 
 

@@ -319,8 +319,8 @@ def test_two_sided_loss_converges_to_target():
 
 
 def test_positive_only_loss_drifts_upward_on_zero_targets():
-    """The positive-only variant has no repulsive term, so logits produced
-    from shared embeddings drift upward even where the target is zero.
+    """The positive-only form (alpha = 1) has no repulsive term, so logits
+    produced from shared embeddings drift upward even where the target is zero.
 
     Construction: identical teacher rows and an identity target.  Each
     diagonal (positive) entry pulls its student embedding toward the shared
@@ -335,8 +335,7 @@ def test_positive_only_loss_drifts_upward_on_zero_targets():
     for _ in range(200):
         with Tape():
             z = tz.matmul(Tensor(teacher), tz.swapaxes(student, 0, 1))
-            loss = tz.weighted_match_loss_logits(z, target, alpha=0.9,
-                                                 positive_only=True)
+            loss = tz.weighted_match_loss_logits(z, target, alpha=1.0)
             backward(loss)
         student.data -= 0.5 * student.grad
         student.grad = None

@@ -137,8 +137,10 @@ def test_domain_error_exit_code(tmp_path):
 
 
 # retired keys: the grid fixes the C2 side and the phantom side; threads set nothing;
-# gen-data draws phantoms at PhantomSpec's appearance defaults
+# gen-data draws phantoms at PhantomSpec's appearance defaults; centering always runs;
+# alpha = 1 is the positive-only matching loss
 _RETIRED = {"threads": 1, "crop2_patches": 16, "phantom_side": 256,
+            "centering": True, "positive_only": False,
             "phantom_jitter": 0.04, "phantom_scale_jitter": 0.12, "phantom_noise": 0.02,
             "phantom_texture": 0.15, "phantom_bg_jitter": 0.05, "phantom_gain_jitter": 0.25,
             "phantom_field": 0.12, "phantom_weave": 0.0, "phantom_level_jitter": 0.25,
@@ -276,10 +278,14 @@ def test_seed_override_changes_run(workspace, tmp_path):
 
 @pytest.mark.parametrize("setting", ["batch_size=0", "epochs=0", "checkpoint_every=0",
                                      "warmup_epochs=-1", "warmup_epochs=30", "warmup_epochs=40",
-                                     "grad_clip_norm=0", "grad_clip_norm=-1"])
+                                     "grad_clip_norm=0", "grad_clip_norm=-1",
+                                     "tau_teacher=0", "tau_student=-1", "kernel_size=2",
+                                     "kernel_size=0", "kernel_sigma=0", "alpha_comp=1.5",
+                                     "alpha_decomp=-0.1", "base_lr=nan", "lambda_global=inf"])
 def test_loop_shape_out_of_range_is_refused(setting, tmp_path, capsys):
-    """A value that would crash the loop, skip the final checkpoint or flip
-    the update is refused by name before anything is written."""
+    """A value that would crash the loop, skip the final checkpoint, flip
+    the update, fail the first step or weigh the negatives below zero is
+    refused by name before anything is written."""
     key, value = setting.split("=")
     # a bound set by another key names it and its value: `below epochs (30)`
     named = rf"{key} must be [a-z ]+([0-9]*|[a-z_]+ \(\d+\)), got {value}(\.0)?$"

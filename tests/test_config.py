@@ -31,9 +31,10 @@ def test_defaults_build_consistent_components():
 
 def test_overrides_parse_types():
     cfg = apply_overrides(RunConfig(), ["epochs=5", "base_lr=1e-3",
-                                       "centering=off", "positive_only=yes"])
+                                       "kernel_size=5", "alpha_comp=1"])
     assert cfg.epochs == 5 and cfg.base_lr == 1e-3
-    assert cfg.centering is False and cfg.positive_only is True
+    assert cfg.kernel_size == 5 and type(cfg.kernel_size) is int
+    assert cfg.alpha_comp == 1.0 and type(cfg.alpha_comp) is float
 
 
 def test_unknown_key_rejected():
@@ -44,7 +45,7 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         apply_overrides(RunConfig(), ["epochs=three"])
     with pytest.raises(ConfigError):
-        apply_overrides(RunConfig(), ["centering=maybe"])
+        apply_overrides(RunConfig(), ["base_lr=fast"])
 
 
 def test_config_file_with_comments(tmp_path):
@@ -60,8 +61,10 @@ def test_config_file_with_comments(tmp_path):
                                 ("crop2_patches = 16\n", 1, "'crop2_patches'"),
                                 ("seed = 3\nphantom_side = 256\n", 2, "'phantom_side'"),
                                 ("phantom_weave = 0.1\n", 1, "'phantom_weave'"),
+                                ("\n\ncentering = on\n", 3, "'centering'"),
+                                ("positive_only = off\n", 1, "'positive_only'"),
                                 ("epochs = 7\nepochs = three\n", 2, "epochs"),
-                                ("\n\ncentering = maybe\n", 3, "centering")):
+                                ("\n\nbase_lr = fast\n", 3, "base_lr")):
         bad.write_text(text)
         with pytest.raises(ConfigError) as exc:
             load_config(bad)
@@ -70,7 +73,7 @@ def test_config_file_with_comments(tmp_path):
 
 
 def test_snapshot_roundtrip(tmp_path):
-    cfg = apply_overrides(RunConfig(), ["epochs=9", "centering=false", "tau_student=0.2"])
+    cfg = apply_overrides(RunConfig(), ["epochs=9", "alpha_comp=1", "tau_student=0.2"])
     snap = tmp_path / "config.resolved"
     write_snapshot(cfg, snap)
     back = load_config(snap)

@@ -243,16 +243,27 @@ def _header_bounds(raw: bytes) -> tuple[int, int]:
     return 16, 16 + hlen
 
 
-# a header that lacks a key: the key, and the edit that removes it
-_MISSING_KEY = {
-    "no_shape": ("shape", lambda h: h["blobs"][0].pop("shape")),
-    "no_config": ("config", lambda h: h.pop("config")),
-    "no_center": ("center", lambda h: h["blobs"].pop(
-        next(i for i, b in enumerate(h["blobs"]) if b["name"] == "center"))),
+# a header that lacks a key or holds a value of the wrong type: what the error
+# names, and the edit (blob 0 is the center)
+_BAD_KEY = {
+    "no_shape": ("'shape'", lambda h: h["blobs"][0].pop("shape")),
+    "no_config": ("'config'", lambda h: h.pop("config")),
+    "no_center": ("'center'", lambda h: h["blobs"].pop(0)),
+    "shape_str": ("blob 'center' has shape ['a']", lambda h: h["blobs"][0].update(shape=["a"])),
+    "shape_int": ("blob 'center' has 'shape' = 5", lambda h: h["blobs"][0].update(shape=5)),
+    "shape_negative": ("blob 'center' has shape [-1, 2]",
+                       lambda h: h["blobs"][0].update(shape=[-1, 2])),
+    "shape_float": ("blob 'center' has shape [2.5]",
+                    lambda h: h["blobs"][0].update(shape=[2.5])),
+    "shape_bool": ("blob 'center' has shape [True]",
+                   lambda h: h["blobs"][0].update(shape=[True])),
+    "step_str": ("'step' = 'x'", lambda h: h.update(step="x")),
+    "config_str": ("EncoderConfig has 'K' = '4'", lambda h: h["config"].update(K="4")),
+    "config_list": ("'config' = []", lambda h: h.update(config=[])),
 }
 
 
-@pytest.mark.parametrize("case", ["json", "utf8", "not_dict", "no_blobs", *_MISSING_KEY])
+@pytest.mark.parametrize("case", ["json", "utf8", "not_dict", "no_blobs", *_BAD_KEY])
 def test_checkpoint_with_corrupt_header_names_file(tiny_state, tmp_path, case):
     path = tmp_path / "state.ace"
     model.save_state(path, tiny_state)
@@ -262,20 +273,20 @@ def test_checkpoint_with_corrupt_header_names_file(tiny_state, tmp_path, case):
         head = b"#" + raw[lo + 1:hi]
     elif case == "utf8":
         head = b"\xff" + raw[lo + 1:hi]
-    elif case in _MISSING_KEY:
+    elif case in _BAD_KEY:
         doc = json.loads(raw[lo:hi])
-        _MISSING_KEY[case][1](doc)
-        head = json.dumps(doc).encode().ljust(hi - lo)
+        _BAD_KEY[case][1](doc)
+        head = json.dumps(doc).encode()
     else:
         doc = [] if case == "not_dict" else {"config": {}, "step": 0}
-        head = json.dumps(doc).encode().ljust(hi - lo)
-    assert len(head) == hi - lo
-    path.write_bytes(raw[:lo] + head + raw[hi:])
+        head = json.dumps(doc).encode()
+    # the header length, then the edited header and the blobs as they were
+    path.write_bytes(raw[:8] + len(head).to_bytes(8, "little") + head + raw[hi:])
     with pytest.raises(FormatError) as exc:
         model.load_state(path)
     assert str(path) in str(exc.value)
-    if case in _MISSING_KEY:
-        assert repr(_MISSING_KEY[case][0]) in str(exc.value)
+    if case in _BAD_KEY:
+        assert _BAD_KEY[case][0] in str(exc.value), str(exc.value)
 
 
 def test_checkpoint_names_unknown_config_keys(tiny_state, tmp_path):

@@ -137,13 +137,11 @@ def test_matching_loss_hand_value():
     # 1x2 case evaluated by hand with plain floats, at the logits of M
     m = np.array([[0.7, 0.2]])
     t = np.array([[1.0, 0.0]])
-    alpha = 0.9
     z = Tensor(np.log(m / (1 - m)))
-    got = obj.matching_loss_logits(z, t, alpha).item()
-    expect = -(alpha * math.log(0.7) + (1 - alpha) * math.log(1 - 0.2))
-    assert np.isclose(got, expect, rtol=1e-12)
-    got_pos = obj.matching_loss_logits(z, t, alpha, positive_only=True).item()
-    assert np.isclose(got_pos, -alpha * math.log(0.7), rtol=1e-12)
+    for alpha in (0.9, 1.0):  # alpha = 1 is the positive-only form, -log 0.7
+        got = obj.matching_loss_logits(z, t, alpha).item()
+        expect = -(alpha * math.log(0.7) + (1 - alpha) * math.log(1 - 0.2))
+        assert np.isclose(got, expect, rtol=1e-12)
 
 
 def test_fused_loss_matches_composed_values_and_grads():
@@ -153,14 +151,11 @@ def test_fused_loss_matches_composed_values_and_grads():
     for shape in ((4, 5), (3, 4, 5)):
         z0 = rng.normal(scale=3.0, size=shape)
         tmat = (rng.random(shape) < 0.3) * rng.random(shape)
-        for positive_only in (False, True):
-            fused = obj.matching_loss_logits(Tensor(z0), tmat, 0.9,
-                                             positive_only=positive_only).item()
-            expect = reference.matching_loss(1 / (1 + np.exp(-z0)), tmat, 0.9,
-                                             positive_only=positive_only)
+        for alpha in (0.9, 1.0):
+            fused = obj.matching_loss_logits(Tensor(z0), tmat, alpha).item()
+            expect = reference.matching_loss(1 / (1 + np.exp(-z0)), tmat, alpha)
             assert np.isclose(fused, expect, rtol=1e-10)
-            err = grad_check(lambda t: obj.matching_loss_logits(
-                t, tmat, 0.9, positive_only=positive_only), Tensor(z0))
+            err = grad_check(lambda t: obj.matching_loss_logits(t, tmat, alpha), Tensor(z0))
             assert err < 1e-4
 
 

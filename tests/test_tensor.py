@@ -70,9 +70,8 @@ def test_gradient_cross_entropy_with_logits():
 def test_gradient_weighted_match_loss():
     t = (RNG.random((4, 6)) < 0.3).astype(float) * RNG.random((4, 6))
     z = Tensor(_rand(4, 6))
-    for positive_only in (False, True):
-        err = grad_check(
-            lambda x: tz.weighted_match_loss_logits(x, t, 0.9, positive_only=positive_only), z)
+    for alpha in (0.9, 1.0):
+        err = grad_check(lambda x: tz.weighted_match_loss_logits(x, t, alpha), z)
         assert err < TOL
 
 
@@ -330,12 +329,12 @@ def _ref_layer_norm(x, gain, bias, g):
         g.reshape(-1, x.shape[-1]).sum(axis=0)
 
 
-def _ref_match_loss(x, t, alpha, positive_only, g):
+def _ref_match_loss(x, t, alpha, g):
     rows = x.size // x.shape[-1]
     e, sig = _ref_sigmoid_parts(x)
     softplus = np.maximum(x, 0.0) + np.log1p(e)
     pos = alpha * t
-    w = pos if positive_only else pos + (1.0 - alpha) * (1.0 - t)
+    w = pos + (1.0 - alpha) * (1.0 - t)
     out = (np.vdot(w, softplus) - np.vdot(pos, x)) / rows
     return out, (w * sig - pos) * (g / rows)
 
@@ -380,25 +379,25 @@ def test_row_norm_bit_identical(shape):
     assert np.isfinite(grads[0].reshape(-1, shape[-1])[1:]).all()
 
 
-@pytest.mark.parametrize("positive_only", [False, True])
+@pytest.mark.parametrize("alpha", [0.9, 1.0])
 @pytest.mark.parametrize("shape", [(5, 12), (3, 16, 64)])
-def test_match_loss_bit_identical(shape, positive_only):
+def test_match_loss_bit_identical(shape, alpha):
     x = _edge_values(shape, 6)
     rng = np.random.default_rng(7)
     t = (rng.random(shape) < 0.3) * rng.random(shape)
     g = 0.37
     with Tape():
         leaf = Tensor(x, requires_grad=True)
-        loss = tz.weighted_match_loss_logits(leaf, t, 0.9, positive_only=positive_only)
+        loss = tz.weighted_match_loss_logits(leaf, t, alpha)
         backward(tz.scale(loss, g))
-    out_ref, gx_ref = _ref_match_loss(x, t, 0.9, positive_only, g)
+    out_ref, gx_ref = _ref_match_loss(x, t, alpha, g)
     assert _same_bits(loss.data, out_ref) and _same_bits(leaf.grad, gx_ref)
     # without the NaN the loss is finite, and still bit-identical
     x[np.isnan(x)] = 0.5
     with Tape():
         leaf = Tensor(x, requires_grad=True)
-        loss = tz.weighted_match_loss_logits(leaf, t, 0.9, positive_only=positive_only)
+        loss = tz.weighted_match_loss_logits(leaf, t, alpha)
         backward(tz.scale(loss, g))
-    out_ref, gx_ref = _ref_match_loss(x, t, 0.9, positive_only, g)
+    out_ref, gx_ref = _ref_match_loss(x, t, alpha, g)
     assert np.isfinite(out_ref)
     assert _same_bits(loss.data, out_ref) and _same_bits(leaf.grad, gx_ref)

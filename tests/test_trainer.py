@@ -12,7 +12,7 @@ import ace.trainer as tr
 from ace import blas
 from ace.config import RunConfig, apply_overrides
 from ace.cropgrid import extract_and_resize, sample_crop_pair
-from ace.errors import AceError, ParameterError
+from ace.errors import AceError, FormatError, ParameterError
 from ace.gradcases import primitive_cases
 from ace.model import init
 from ace.synthgen import PhantomSpec, build_manifest, generate, load_manifest
@@ -457,6 +457,20 @@ def test_non_finite_gradient_stops_before_update(tmp_path, monkeypatch):
         assert np.array_equal(p.data, before[name]), name
 
 
+def test_batch_larger_than_the_manifest_is_refused(tmp_path):
+    """A batch larger than the dataset would train on smaller batches than the
+    checkpoint records; the error names both counts and the manifest."""
+    manifest = _tiny_dataset(tmp_path)
+    out = tmp_path / "run"
+    with pytest.raises(AceError) as exc:
+        train_loop(_tiny_run_cfg(batch_size=9), manifest, out)
+    assert str(exc.value) == f"batch_size 9 exceeds the 8 phantoms in manifest {manifest}"
+    assert not out.exists()
+    # a batch of the whole dataset is one step per epoch
+    train_loop(_tiny_run_cfg(batch_size=8, epochs=1, warmup_epochs=0), manifest, out)
+    assert len((out / tr.METRICS_NAME).read_text().splitlines()) == 1
+
+
 def test_resume_refuses_a_different_config(tmp_path):
     manifest = _tiny_dataset(tmp_path)
     ckpt = train_loop(_tiny_run_cfg(epochs=1, warmup_epochs=0), manifest, tmp_path / "run")
@@ -466,6 +480,30 @@ def test_resume_refuses_a_different_config(tmp_path):
     # checkpoint cadence does not change the trajectory
     train_loop(_tiny_run_cfg(epochs=1, warmup_epochs=0, checkpoint_every=5), manifest, tmp_path / "run",
                resume_from=ckpt)
+
+
+# a checkpoint's run state with a value of the wrong type: what the error
+# names, and the edit of the header's extra
+_BAD_RUN_STATE = {
+    "opt_t": ("'opt_t' = 'x'", lambda extra: extra.update(opt_t="x")),
+    "rng_state": ("'rng_state' = 5", lambda extra: extra.update(rng_state=5)),
+    "run_config": ("RunConfig has 'epochs' = '1'",
+                   lambda extra: extra["run_config"].update(epochs="1")),
+}
+
+
+@pytest.mark.parametrize("key", list(_BAD_RUN_STATE))
+def test_resume_names_a_bad_run_state_value(tmp_path, key):
+    manifest = _tiny_dataset(tmp_path)
+    cfg = _tiny_run_cfg(epochs=1, warmup_epochs=0)
+    ckpt = train_loop(cfg, manifest, tmp_path / "run")
+    header, arrays = model.read_blob_file(ckpt)
+    named, change = _BAD_RUN_STATE[key]
+    change(header["extra"])
+    model.write_blob_file(ckpt, header, arrays)
+    with pytest.raises(FormatError) as exc:
+        train_loop(cfg, manifest, tmp_path / "run", resume_from=ckpt)
+    assert str(ckpt) in str(exc.value) and named in str(exc.value), str(exc.value)
 
 
 def _assert_teacher_constant(state):
