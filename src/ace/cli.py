@@ -47,9 +47,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve(args) -> tuple:
-    cfg = load_config(args.config, args.set)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    cfg = load_config(args.config, args.set + seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_snapshot(cfg, out / "config.resolved")

@@ -70,7 +70,7 @@ class RunConfig:
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         for key, least in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 1),
-                           ("warmup_epochs", 0), ("kernel_size", 1)):
+                           ("warmup_epochs", 0), ("kernel_size", 1), ("seed", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.warmup_epochs >= self.epochs:

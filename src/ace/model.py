@@ -288,15 +288,18 @@ def _field(record, key: str, path, what: str, kind: type | None = None):
 
 
 def config_from_header(cls, values: dict, path):
-    """Rebuild config dataclass `cls` from a checkpoint; unknown keys and
-    values not of their field's type are refused."""
+    """Rebuild config dataclass `cls` from a checkpoint; unknown keys, values
+    not of their field's type and values `cls` refuses are refused."""
     unknown = sorted(set(values) - {f.name for f in fields(cls)})
     if unknown:
         raise FormatError(f"{path}: unknown {cls.__name__} key(s) "
                           + ", ".join(map(repr, unknown)))
     for key in values:
         _field(values, key, path, f"the {cls.__name__}", type(getattr(cls, key)))
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ParameterError as exc:  # its message names the key at fault
+        raise FormatError(f"{path}: the {cls.__name__} is refused: {exc}") from None
 
 
 def save_state(path, state: EncoderState, extra: dict | None = None,

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import heap
 from .cropgrid import box_mean, resize
 from .errors import ParameterError
 from .model import EncoderState, encode_batch
@@ -55,7 +56,9 @@ def embed_crops(state: EncoderState, crops) -> np.ndarray:
     ``crops`` is a sized sequence of square crops of any side: a list of
     arrays or views, or a stack.  A crop already H0 x H0 is stacked as it
     is; correspondence key windows at a multiple of H0 arrive that way,
-    box-pooled in `cropgrid.box_mean`, as H0-side views."""
+    box-pooled in `cropgrid.box_mean`, as H0-side views.  The first call keeps
+    freed heap pages in the process for good (`heap.hold_freed_pages`)."""
+    heap.hold_freed_pages()
     cfg = state.config
     feats = []
     for i in range(0, len(crops), _ENCODE_CHUNK):

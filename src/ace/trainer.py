@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blas, cropgrid, model, objective
+from . import blas, cropgrid, heap, model, objective
 from . import tensor as tz
 from .config import RunConfig
-from .errors import AceError, ParameterError
+from .errors import AceError, FormatError, ParameterError
 from .synthgen import load_manifest
 from .tensor import Tape, Tensor
 
@@ -292,7 +292,12 @@ def load_checkpoint(path):
                for name, a in opt.state_arrays().items()}
     opt.load_state_arrays(moments, model._field(extra, "opt_t", path, what, int))
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = json.loads(model._field(extra, "rng_state", path, what, str))
+    rng_state = model._field(extra, "rng_state", path, what, str)
+    try:
+        rng.bit_generator.state = json.loads(rng_state)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: {what} has 'rng_state' that is not a PCG64 state "
+                          f"({exc!r})") from None
     return state, opt, rng, cfg
 
 
@@ -337,9 +342,11 @@ def train_loop(cfg: RunConfig, manifest_path, out_dir, resume_from=None,
                progress=None) -> Path:
     """Run pretraining; writes checkpoints and metrics, returns final checkpoint path.
 
-    The call runs on one OpenBLAS thread and restores the count it found.
+    The call runs on one OpenBLAS thread and restores the count it found.  It
+    also keeps freed heap pages in the process for good (`heap.hold_freed_pages`).
     """
     cfg.check()
+    heap.hold_freed_pages()
     spec = cfg.grid_spec()
     phantoms = load_manifest(manifest_path)
     images = [p.image for p in phantoms]

@@ -281,7 +281,8 @@ def test_seed_override_changes_run(workspace, tmp_path):
                                      "grad_clip_norm=0", "grad_clip_norm=-1",
                                      "tau_teacher=0", "tau_student=-1", "kernel_size=2",
                                      "kernel_size=0", "kernel_sigma=0", "alpha_comp=1.5",
-                                     "alpha_decomp=-0.1", "base_lr=nan", "lambda_global=inf"])
+                                     "alpha_decomp=-0.1", "base_lr=nan", "lambda_global=inf",
+                                     "seed=-1"])
 def test_loop_shape_out_of_range_is_refused(setting, tmp_path, capsys):
     """A value that would crash the loop, skip the final checkpoint, flip
     the update, fail the first step or weigh the negatives below zero is
@@ -296,6 +297,14 @@ def test_loop_shape_out_of_range_is_refused(setting, tmp_path, capsys):
     assert re.fullmatch("error: " + named, err), err
     with pytest.raises(ConfigError, match=named):
         train_loop(apply_overrides(RunConfig(), [setting]), manifest, out)
+    assert not out.exists()
+
+
+def test_negative_seed_flag_is_refused(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pretrain", "--out", str(out), "--manifest", str(tmp_path / "missing.tsv"),
+                 "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.strip() == "error: seed must be at least 0, got -1"
     assert not out.exists()
 
 

@@ -259,6 +259,7 @@ _BAD_KEY = {
                    lambda h: h["blobs"][0].update(shape=[True])),
     "step_str": ("'step' = 'x'", lambda h: h.update(step="x")),
     "config_str": ("EncoderConfig has 'K' = '4'", lambda h: h["config"].update(K="4")),
+    "config_refused": ("K must be at least 1, got 0", lambda h: h["config"].update(K=0)),
     "config_list": ("'config' = []", lambda h: h.update(config=[])),
 }
 

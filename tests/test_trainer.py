@@ -487,6 +487,10 @@ def test_resume_refuses_a_different_config(tmp_path):
 _BAD_RUN_STATE = {
     "opt_t": ("'opt_t' = 'x'", lambda extra: extra.update(opt_t="x")),
     "rng_state": ("'rng_state' = 5", lambda extra: extra.update(rng_state=5)),
+    "rng_not_pcg64": ("'rng_state' that is not a PCG64 state",
+                      lambda extra: extra.update(rng_state='{"x": 1}')),
+    "rng_no_state": ("'rng_state' that is not a PCG64 state",
+                     lambda extra: extra.update(rng_state='{"bit_generator": "PCG64"}')),
     "run_config": ("RunConfig has 'epochs' = '1'",
                    lambda extra: extra["run_config"].update(epochs="1")),
 }
