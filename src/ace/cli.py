@@ -38,6 +38,14 @@ def _count(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    """A seed for numpy's generators, which take none below 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -168,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the gradient gate's cases")
     p.add_argument("--trials", type=_count, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("geom-verify", help="crop geometry vs the pixel oracle")

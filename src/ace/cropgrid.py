@@ -106,7 +106,8 @@ def resize(src: np.ndarray, out_side: int) -> np.ndarray:
     coords = (np.arange(out_side) + 0.5) * (s / out_side) - 0.5
     lo = np.clip(np.floor(coords).astype(int), 0, s - 1)
     hi = np.clip(lo + 1, 0, s - 1)
-    frac = np.clip(coords - lo, 0.0, 1.0)
+    # weights in the image's float dtype, so a float32 image stays float32
+    frac = np.clip(coords - lo, 0.0, 1.0).astype(np.result_type(src, np.float32))
     return src[lo][:, lo] * np.outer(1 - frac, 1 - frac) \
         + src[lo][:, hi] * np.outer(1 - frac, frac) \
         + src[hi][:, lo] * np.outer(frac, 1 - frac) \
@@ -146,7 +147,7 @@ def _box_sum(image: np.ndarray, f: int, step: int) -> np.ndarray:
         for o in range(2, f):
             cols += image[:, o:o + xspan:step]
     else:
-        cols = np.empty((h, nx))
+        cols = np.empty((h, nx), dtype=image.dtype)
         for o in range(0, f, step):
             k = (w - o) // f
             cols[:, o // step::f // step] = image[:, o:o + f * k].reshape(h, k, f).sum(axis=2)

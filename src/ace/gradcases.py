@@ -1,6 +1,8 @@
 """The one table of finite-difference gradient checks, shared by the tier-1
 gradient gate and ``ace gradcheck``: every autodiff primitive that training
-calls, with its batched forms, then the full loss graph of a toy config."""
+calls, with its batched forms, then the full loss graph of a toy config.
+Every case runs in float64, although training runs in float32: its inputs
+are float64 arrays, and the toy state is a float64 copy."""
 
 from dataclasses import replace
 
@@ -11,7 +13,7 @@ from . import tensor as tz
 from . import trainer as tr
 from .config import RunConfig, apply_overrides
 from .cropgrid import sample_crop_pair
-from .model import init
+from .model import EncoderState, init
 from .tensor import Tensor, grad_check
 
 
@@ -63,6 +65,15 @@ def primitive_cases(rng: np.random.Generator):
     ]
 
 
+def float64_state(state: EncoderState) -> EncoderState:
+    """A float64 copy of a state: with float64 images, the graph it drives
+    runs in float64."""
+    def copy(params, requires_grad):
+        return {n: Tensor(t.data.astype(np.float64), requires_grad) for n, t in params.items()}
+    return replace(state, student=copy(state.student, True), teacher=copy(state.teacher, False),
+                   center=state.center.astype(np.float64))
+
+
 def _loss_graph_errors(rng: np.random.Generator):
     """The full training loss of a toy config on two crop pairs, end to end
     through the encoder, probed at one coordinate of each of three sampled
@@ -72,7 +83,7 @@ def _loss_graph_errors(rng: np.random.Generator):
         "embed_dim=8", "encoder_depth=1", "encoder_hidden=16", "aug_brightness=0",
         "aug_contrast=0", "aug_noise=0", "aug_blur=0"])
     spec = cfg.grid_spec()
-    state = init(cfg.encoder_config(), rng)
+    state = float64_state(init(cfg.encoder_config(), rng))
     batch = [(rng.random((spec.side, spec.side)), sample_crop_pair(rng, spec)) for _ in range(2)]
 
     def total(name, t):

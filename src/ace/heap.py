@@ -1,14 +1,15 @@
 """Keep freed heap pages in the process between training steps and probe chunks.
 
-A desk step or a probe chunk allocates several MB of float64 temporaries
-and frees them.  By glibc's dynamic rule the freed top of the heap goes
-back to the OS each time, and the next step faults it in again, zero-filled
-(about 1,250 minor faults per desk step).  `hold_freed_pages` fixes the
-mmap threshold at glibc's 64-bit ceiling and the trim threshold above it,
-so blocks below 32 MiB come from the heap and up to 64 MiB of freed heap
-stays with the process.  Unlike `blas.one_thread` nothing is restored:
-glibc has no getter for these thresholds, so the setting lasts for the life
-of the process.  Without glibc's `mallopt` it does nothing.
+A desk step or a probe chunk allocates MBs of array temporaries and frees
+them.  By glibc's dynamic rule the freed top of the heap goes back to the
+OS each time, and the next step faults it in again, zero-filled (about
+1,250 minor faults per desk step when steps ran in float64).
+`hold_freed_pages` fixes the mmap threshold at glibc's 64-bit ceiling and
+the trim threshold above it, so blocks below 32 MiB come from the heap and
+up to 64 MiB of freed heap stays with the process.  Unlike
+`blas.one_thread` nothing is restored: glibc has no getter for these
+thresholds, so the setting lasts for the life of the process.  Without
+glibc's `mallopt` it does nothing.
 """
 
 from __future__ import annotations

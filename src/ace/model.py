@@ -88,7 +88,8 @@ def _param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderState:
-    """Fan-in scaled uniform init; teacher starts as an exact copy of the student."""
+    """Fan-in scaled uniform init, drawn in float64 and held in float32; the
+    teacher starts as an exact copy of the student."""
     student: dict[str, Tensor] = {}
     for name, shape in _param_shapes(cfg).items():
         if name.endswith(".g"):
@@ -99,10 +100,10 @@ def init(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderState:
             fan_in = shape[0]
             bound = np.sqrt(3.0 / fan_in)
             data = rng.uniform(-bound, bound, size=shape)
-        student[name] = Tensor(data, requires_grad=True)
+        student[name] = Tensor(data.astype(tz.DTYPE), requires_grad=True)
     teacher = {name: Tensor(t.data.copy()) for name, t in student.items()}
     return EncoderState(config=cfg, student=student, teacher=teacher,
-                        center=np.zeros(cfg.K), step=0)
+                        center=np.zeros(cfg.K, dtype=tz.DTYPE), step=0)
 
 
 def _image_to_patches(cfg: EncoderConfig, images: np.ndarray) -> np.ndarray:
@@ -200,7 +201,8 @@ def ema_lambda(step: int, total_steps: int) -> float:
         raise ParameterError(f"total_steps must be positive, got {total_steps}")
     if not 0 <= step <= total_steps:
         raise ParameterError(f"step {step} outside [0, {total_steps}]")
-    return 1.0 - (1.0 - EMA_BASE) * (np.cos(np.pi * step / total_steps) + 1.0) / 2.0
+    # a Python float: a numpy float64 scalar would promote float32 arrays
+    return 1.0 - (1.0 - EMA_BASE) * (float(np.cos(np.pi * step / total_steps)) + 1.0) / 2.0
 
 
 def ema_update(state: EncoderState, lam: float) -> None:
@@ -213,7 +215,9 @@ def ema_update(state: EncoderState, lam: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: magic "ACE1", JSON header, float64 little-endian blobs
+# checkpoint container: magic "ACE1", JSON header, float64 little-endian blobs;
+# a float32 array is written exactly, and `load_state` reads every blob back
+# in float32
 
 _MAGIC = b"ACE1"
 _VERSION = 1
@@ -326,7 +330,10 @@ def _blob(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...], path
 
 
 def load_state(path) -> tuple[EncoderState, dict, dict[str, np.ndarray]]:
+    """The state, header extra and extra arrays of a checkpoint, every array in
+    float32: a blob of a float64 run is rounded, one of a float32 run is exact."""
     header, arrays = read_blob_file(path)
+    arrays = {name: a.astype(tz.DTYPE) for name, a in arrays.items()}
     cfg = config_from_header(EncoderConfig, _field(header, "config", path, "the header", dict),
                              path)
     center = _blob(arrays, "center", (cfg.K,), path)

@@ -22,6 +22,7 @@ from .cropgrid import box_mean, resize
 from .errors import ParameterError
 from .model import EncoderState, encode_batch
 from .synthgen import MIRROR_PAIRS, Phantom
+from .tensor import DTYPE
 
 _ENCODE_CHUNK = 256
 
@@ -56,15 +57,18 @@ def embed_crops(state: EncoderState, crops) -> np.ndarray:
     ``crops`` is a sized sequence of square crops of any side: a list of
     arrays or views, or a stack.  A crop already H0 x H0 is stacked as it
     is; correspondence key windows at a multiple of H0 arrive that way,
-    box-pooled in `cropgrid.box_mean`, as H0-side views.  The first call keeps
-    freed heap pages in the process for good (`heap.hold_freed_pages`)."""
+    box-pooled in `cropgrid.box_mean`, as H0-side views.  Crops are resized
+    in float64 and cast to float32 as the chunk is stacked, so a pooled view
+    and a resized window give the same bits; the features are float32.  The
+    first call keeps freed heap pages in the process for good
+    (`heap.hold_freed_pages`)."""
     heap.hold_freed_pages()
     cfg = state.config
     feats = []
     for i in range(0, len(crops), _ENCODE_CHUNK):
         chunk = [np.asarray(c, dtype=float) for c in crops[i:i + _ENCODE_CHUNK]]
         resized = np.stack([c if c.shape == (cfg.H0, cfg.H0) else resize(c, cfg.H0)
-                            for c in chunk])
+                            for c in chunk], dtype=DTYPE)
         feats.append(encode_batch(cfg, state.student, resized).mean(axis=1))
     return np.concatenate(feats, axis=0)
 
@@ -342,7 +346,8 @@ def landmark_separability(state: EncoderState, phantoms: list[Phantom],
                             + [f"e{i}" for i in range(feats.shape[-1])])
             for i, ph in enumerate(phantoms):
                 for j, name in enumerate(names):
-                    writer.writerow([ph.instance_id, name] + [repr(v) for v in feats[i, j]])
+                    # str of a float32 is its shortest round-trip decimal
+                    writer.writerow([ph.instance_id, name] + [str(v) for v in feats[i, j]])
 
     norm = feats / np.maximum(np.linalg.norm(feats, axis=-1, keepdims=True), 1e-30)
     records = []

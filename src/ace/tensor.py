@@ -1,6 +1,10 @@
 """Minimal dense-tensor arithmetic with reverse-mode automatic differentiation.
 
-Everything is backed by numpy arrays (float64 by default).  Operations
+Everything is backed by numpy arrays, and a tensor follows its data: a
+float32 array stays float32 (the dtype training and the probes compute in),
+and any other input becomes float64 (the finite-difference gradient
+checks).  An op's output takes its operands' dtype, so a graph built from
+float32 leaves runs in float32 end to end.  Operations
 record themselves on the currently active :class:`Tape`; calling
 :func:`backward` on a scalar loss replays the tape in reverse and
 populates ``grad`` on every tensor that requires gradients.  A tape lives
@@ -15,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyOverlapError, ParameterError, ShapeError
 
-DEFAULT_DTYPE = np.float64
+DTYPE = np.float32  # the dtype of training and the probes
 
 
 class Tensor:
@@ -24,8 +28,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=DEFAULT_DTYPE)
-        self.data = arr
+        arr = np.asarray(data)
+        self.data = arr if arr.dtype == DTYPE else arr.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -327,7 +331,8 @@ def masked_mean_pool(tokens: Tensor, mask) -> Tensor:
     if m.size != int(np.prod(x.shape[:-1])):
         raise ShapeError(f"masked_mean_pool: tokens {x.shape} vs mask of shape {m.shape}")
     m = m.reshape(x.shape[:-1]).astype(bool)
-    count = m.sum(axis=-1, keepdims=True)
+    # in x's dtype: an integer count would promote a float32 pool to float64
+    count = m.sum(axis=-1, keepdims=True, dtype=x.dtype)
     if not count.all():
         item = "" if x.ndim == 2 else f" for item {int(np.argmin(count[:, 0]))}"
         raise EmptyOverlapError(f"masked_mean_pool: mask selects no rows{item}")
@@ -406,13 +411,15 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6,
                sample: int | None = None, rng: np.random.Generator | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``f`` must map a tensor to a scalar tensor.  With ``sample`` set, only
+    ``f`` must map a tensor to a scalar tensor; the leaf it is given is
+    float64.  With ``sample`` set, only
     that many randomly chosen coordinates are probed (the analytic gradient
     is still the full reverse-mode sweep).
     """
     if eps <= 0:
         raise ParameterError(f"grad_check epsilon must be positive, got {eps}")
-    x0 = x.data.copy()
+    # float64 whatever x holds: a float32 difference quotient at eps would be noise
+    x0 = x.data.astype(np.float64)
     leaf = Tensor(x0, requires_grad=True)
     with Tape():
         out = f(leaf)

@@ -55,14 +55,16 @@ def learning_rate(step: int, total_steps: int, warmup_steps: int, base_lr: float
     if warmup_steps > 0 and step <= warmup_steps:
         return base_lr * step / warmup_steps
     span = max(1, total_steps - warmup_steps)
-    return base_lr * 0.5 * (1.0 + np.cos(np.pi * (step - warmup_steps) / span))
+    # Python floats, as every schedule returns: a numpy float64 scalar would
+    # promote the float32 arrays it scales
+    return base_lr * 0.5 * (1.0 + float(np.cos(np.pi * (step - warmup_steps) / span)))
 
 
 def weight_decay(step: int, total_steps: int, start: float, end: float) -> float:
     """Cosine ramp from start at step 0 to end at total_steps."""
     if not 0 <= step <= total_steps:
         raise ParameterError(f"step {step} outside [0, {total_steps}]")
-    return start + (end - start) * (1.0 - np.cos(np.pi * step / total_steps)) / 2.0
+    return start + (end - start) * (1.0 - float(np.cos(np.pi * step / total_steps))) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +73,15 @@ def weight_decay(step: int, total_steps: int, start: float, end: float) -> float
 
 def augment(rng: np.random.Generator, image: np.ndarray, brightness: float,
             contrast: float, noise: float, blur_prob: float) -> np.ndarray:
-    """Photometric-only transform; pixel positions never move."""
+    """Photometric-only transform; pixel positions never move.  The output
+    keeps the image's dtype: the noise is drawn in float64, as the RNG
+    stream has it, and then cast."""
     out = image
     c = 1.0 + rng.uniform(-contrast, contrast)
     out = (out - 0.5) * c + 0.5
     out = out + rng.uniform(-brightness, brightness)
     if noise > 0:
-        out = out + rng.normal(0.0, noise, size=image.shape)
+        out = out + rng.normal(0.0, noise, size=image.shape).astype(image.dtype)
     if rng.random() < blur_prob:
         # mild 3x3 binomial blur, reflect padding
         pad = np.pad(out, 1, mode="edge")
@@ -178,9 +182,11 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 
 
 def _target_stack(pairs: list[cropgrid.CropPair], spec: cropgrid.GridSpec, role: str,
-                  cfg: RunConfig) -> np.ndarray:
+                  cfg: RunConfig, dtype) -> np.ndarray:
+    """The pairs' cached float64 targets, stacked in the crops' dtype."""
     return np.stack([objective.build_target(p, spec, role, k=cfg.kernel_size,
-                                            sigma=cfg.kernel_sigma) for p in pairs])
+                                            sigma=cfg.kernel_sigma) for p in pairs],
+                    dtype=dtype)
 
 
 def _batch_losses(state: model.EncoderState, batch: list[tuple[np.ndarray, cropgrid.CropPair]],
@@ -212,13 +218,13 @@ def _batch_losses(state: model.EncoderState, batch: list[tuple[np.ndarray, cropg
     z_comp = objective.matching_logits(
         Tensor(t[b:]), model.compose_head(state.student, tz.slice_batch(s, 0, b)))
     loss_comp = objective.matching_loss_logits(
-        z_comp, _target_stack(pairs, spec, "composition", cfg), cfg.alpha_comp)
+        z_comp, _target_stack(pairs, spec, "composition", cfg, images.dtype), cfg.alpha_comp)
 
     # decomposition: C2 -> student -> decomposer vs C1 -> teacher
     z_dec = objective.matching_logits(
         Tensor(t[:b]), model.decompose_head(state.student, tz.slice_batch(s, b, 2 * b)))
     loss_decomp = objective.matching_loss_logits(
-        z_dec, _target_stack(pairs, spec, "decomposition", cfg), cfg.alpha_decomp)
+        z_dec, _target_stack(pairs, spec, "decomposition", cfg, images.dtype), cfg.alpha_decomp)
 
     # global: each crop's pooled overlap embedding against the teacher's for
     # the other crop of its pair (both orderings), through the projection heads
@@ -277,12 +283,18 @@ def save_checkpoint(path, state: model.EncoderState, opt: AdamW,
         "opt_t": opt.t,
         "run_config": asdict(cfg),
         "blas_threads": blas.pinned_threads(),
+        "dtype": np.dtype(tz.DTYPE).name,
     }
     model.save_state(path, state, extra=extra, extra_arrays=opt.state_arrays())
 
 
 def load_checkpoint(path):
-    """Returns (state, optimizer, rng, run_config)."""
+    """Returns (state, optimizer, rng, run_config).
+
+    A checkpoint whose header does not record the training dtype was
+    written by a float64 run; its state loads only rounded to float32, so
+    the run cannot be continued bit for bit and is refused.
+    """
     state, extra, extra_arrays = model.load_state(path)
     what = "the header's extra"
     cfg = model.config_from_header(RunConfig, model._field(extra, "run_config", path, what, dict),
@@ -298,6 +310,11 @@ def load_checkpoint(path):
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: {what} has 'rng_state' that is not a PCG64 state "
                           f"({exc!r})") from None
+    saved, dtype = extra.get("dtype"), np.dtype(tz.DTYPE).name
+    if saved != dtype:
+        found = "no 'dtype' (a float64 run)" if saved is None else f"'dtype' = {saved!r}"
+        raise FormatError(f"{path}: {what} has {found}; training runs in {dtype}, so "
+                          "the run cannot be continued bit for bit")
     return state, opt, rng, cfg
 
 
@@ -349,7 +366,7 @@ def train_loop(cfg: RunConfig, manifest_path, out_dir, resume_from=None,
     heap.hold_freed_pages()
     spec = cfg.grid_spec()
     phantoms = load_manifest(manifest_path)
-    images = [p.image for p in phantoms]
+    images = [p.image.astype(tz.DTYPE) for p in phantoms]  # the run's one cast
     if cfg.batch_size > len(images):
         # a step would see fewer pairs than the batch size the checkpoint records
         raise AceError(f"batch_size {cfg.batch_size} exceeds the {len(images)} phantoms "

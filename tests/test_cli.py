@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 import ace.tensor as tz
@@ -306,6 +307,34 @@ def test_negative_seed_flag_is_refused(tmp_path, capsys):
                  "--seed", "-1"]) == 1
     assert capsys.readouterr().err.strip() == "error: seed must be at least 0, got -1"
     assert not out.exists()
+
+
+def test_negative_gradcheck_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--seed", "-1", "--trials", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be at least 0, got -1" in err
+    assert "Traceback" not in err
+
+
+def test_resume_refuses_a_checkpoint_without_a_dtype(workspace, tmp_path, capsys):
+    """A checkpoint from before float32 training has no 'dtype': `probe`
+    still scores it, and a resume is refused by naming the file and the key."""
+    root, manifest, tiny = workspace
+    header, arrays = read_blob_file(root / "run" / "checkpoint.ace")
+    del header["extra"]["dtype"]
+    ckpt = tmp_path / "float64.ace"
+    write_blob_file(ckpt, header, {k: a.astype(np.float64) for k, a in arrays.items()})
+    assert main(["probe", "symmetry", "--out", str(tmp_path / "p"), "--ckpt", str(ckpt),
+                 "--manifest", str(manifest), "--samples", "1"] + tiny) == 0
+    capsys.readouterr()
+    code = main(["pretrain", "--out", str(tmp_path / "r"), "--manifest", str(manifest),
+                 "--resume", str(ckpt)] + tiny)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "no 'dtype'" in err and "bit for bit" in err
+    assert "Traceback" not in err
 
 
 # a checkpoint with one blob taken out or reshaped: the blob and the edit

@@ -221,6 +221,26 @@ def test_checkpoint_roundtrip_bit_exact(tiny_state, tmp_path):
         assert np.array_equal(loaded.student[name].data, tiny_state.student[name].data)
         assert np.array_equal(loaded.teacher[name].data, tiny_state.teacher[name].data)
         assert loaded.student[name].requires_grad
+        assert loaded.student[name].data.dtype == np.float32
+
+
+def test_float64_checkpoint_loads_rounded_to_float32(tiny_state, tmp_path):
+    """A checkpoint of an earlier float64 run still loads: every array comes
+    back in float32, rounded to nearest."""
+    rng = np.random.default_rng(5)
+    for t in [*tiny_state.student.values(), *tiny_state.teacher.values()]:
+        t.data = rng.normal(size=t.data.shape)
+    tiny_state.center = rng.normal(size=tiny_state.config.K)
+    path = tmp_path / "float64.ace"
+    model.save_state(path, tiny_state, extra_arrays={"aux": np.full(3, 0.1)})
+    loaded, _, extra_arrays = model.load_state(path)
+    pairs = [(loaded.center, tiny_state.center), (extra_arrays["aux"], np.full(3, 0.1))]
+    for name in tiny_state.student:
+        pairs.append((loaded.student[name].data, tiny_state.student[name].data))
+        pairs.append((loaded.teacher[name].data, tiny_state.teacher[name].data))
+    for got, saved in pairs:
+        assert got.dtype == np.float32
+        assert np.array_equal(got, saved.astype(np.float32))
 
 
 def test_checkpoint_rejects_corruption(tiny_state, tmp_path):

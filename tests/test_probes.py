@@ -249,6 +249,11 @@ def test_separability_mechanics(probe_state, probe_phantoms, tmp_path):
         rows = list(csv.reader(f))
     assert len(rows) == 1 + 6 * 9
     assert rows[0][:2] == ["instance_id", "landmark"]
+    # plain decimals that read back to the float32 features
+    feats = pb.embed_crops(probe_state, [pb._crop_centered(
+        probe_phantoms[0].image, *probe_phantoms[0].landmarks[rows[1][1]],
+        int(0.35 * probe_phantoms[0].image.shape[0]))])[0]
+    assert np.array_equal(np.array(rows[1][2:], dtype=float).astype(np.float32), feats)
     with pytest.raises(ParameterError):
         pb.landmark_separability(probe_state, probe_phantoms[:1])
 

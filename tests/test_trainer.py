@@ -1,6 +1,7 @@
 """Schedules, optimizer, clipping, augmentation and the training loop."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ace import blas
 from ace.config import RunConfig, apply_overrides
 from ace.cropgrid import extract_and_resize, sample_crop_pair
 from ace.errors import AceError, FormatError, ParameterError
-from ace.gradcases import primitive_cases
+from ace.gradcases import float64_state, primitive_cases
 from ace.model import init
 from ace.synthgen import PhantomSpec, build_manifest, generate, load_manifest
 from ace.tensor import Tape, Tensor
@@ -342,6 +343,31 @@ def test_checkpoint_records_blas_threads_and_old_ones_resume(tmp_path):
     assert (part / "metrics.jsonl").read_bytes() == full
 
 
+@pytest.mark.parametrize("dtype", [None, "float64"])
+def test_checkpoint_records_dtype_and_resume_refuses_another(tmp_path, dtype):
+    """A checkpoint records the training dtype; one without it (a float64
+    run from before float32 training) or with another cannot be continued
+    bit for bit, so `load_checkpoint` refuses it by file and key, while
+    `model.load_state` still loads it."""
+    cfg = _tiny_run_cfg()
+    state = init(cfg.encoder_config(), np.random.default_rng(0))
+    ckpt = tmp_path / "step.ace"
+    save_checkpoint(ckpt, state, AdamW(state.student), np.random.default_rng(0), cfg)
+    header, arrays = model.read_blob_file(ckpt)
+    assert header["extra"]["dtype"] == "float32"
+    assert load_checkpoint(ckpt)[0].step == 0
+    if dtype is None:
+        del header["extra"]["dtype"]
+    else:
+        header["extra"]["dtype"] = dtype
+    model.write_blob_file(ckpt, header, arrays)
+    found = r"no 'dtype' \(a float64 run\)" if dtype is None else "'dtype' = 'float64'"
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(ckpt))}: .* has {found}; "
+                                          "training runs in float32"):
+        load_checkpoint(ckpt)
+    assert model.load_state(ckpt)[0].student["embed.w"].data.dtype == np.float32
+
+
 def test_loss_decreases_on_tiny_run(tmp_path):
     cfg = _tiny_run_cfg(epochs=10)
     manifest = _tiny_dataset(tmp_path)
@@ -400,13 +426,9 @@ def _reference_pair_losses(state, image, pair, cfg, spec, rng):
     return tz.scale(tz.add(g1, g2), 0.5), comp, dec, 0.5 * (tp1 + tp2)
 
 
-def test_batch_losses_equal_mean_of_single_pairs(tmp_path):
-    """One batched pass over B=4 pairs equals the mean of four B=1 passes and
-    the mean of four per-pair reference graphs, in every loss term, the
-    centering statistic and every parameter gradient."""
-    cfg, spec, batch = _step_inputs(tmp_path, 4)
-    state = init(cfg.encoder_config(), np.random.default_rng(0))
-    state.center = np.random.default_rng(1).normal(size=cfg.embed_dim)
+def _batch_matches_single_pairs(cfg, spec, batch, state, rtol):
+    """One batched pass over the pairs against the mean of single-pair passes
+    and of the per-pair reference graphs, to a relative tolerance."""
 
     def run(losses):
         with Tape():
@@ -431,10 +453,37 @@ def test_batch_losses_equal_mean_of_single_pairs(tmp_path):
                          for item in batch])
     for expect in (singles, reference):
         for got, want in zip(batched[0], expect[0]):
-            assert np.allclose(got, want, rtol=1e-12, atol=0)
+            assert np.allclose(got, want, rtol=rtol, atol=0)
         for name, g in batched[1].items():
             want = expect[1][name]
-            assert np.allclose(g, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()), name
+            assert np.allclose(g, want, rtol=rtol, atol=rtol * np.abs(want).max()), name
+
+
+def test_batch_losses_equal_mean_of_single_pairs(tmp_path):
+    """One batched pass over B=4 pairs equals the mean of four B=1 passes and
+    the mean of four per-pair reference graphs, in every loss term, the
+    centering statistic and every parameter gradient.  The batching logic
+    does not depend on the dtype, so it is checked in float64."""
+    cfg, spec, batch = _step_inputs(tmp_path, 4)
+    state = float64_state(init(cfg.encoder_config(), np.random.default_rng(0)))
+    state.center = np.random.default_rng(1).normal(size=cfg.embed_dim)
+    _batch_matches_single_pairs(cfg, spec, batch, state, rtol=1e-12)
+
+
+# the float64 check's rtol of 1e-12 allows about 4,500 float64 epsilons of
+# reordering error; the float32 step is held to the same count of float32
+# epsilons (about 5.4e-4), fixed from that ratio and not from a measured gap
+_FLOAT32_RTOL = 1e-12 / np.finfo(np.float64).eps * np.finfo(np.float32).eps
+
+
+def test_float32_batch_losses_equal_mean_of_single_pairs(tmp_path):
+    """The same equality on the float32 path training runs: float32 crops,
+    parameters and center."""
+    cfg, spec, batch = _step_inputs(tmp_path, 4)
+    batch = [(image.astype(np.float32), pair) for image, pair in batch]
+    state = init(cfg.encoder_config(), np.random.default_rng(0))
+    state.center = np.random.default_rng(1).normal(size=cfg.embed_dim).astype(np.float32)
+    _batch_matches_single_pairs(cfg, spec, batch, state, rtol=_FLOAT32_RTOL)
 
 
 def test_non_finite_gradient_stops_before_update(tmp_path, monkeypatch):
