@@ -92,14 +92,14 @@ def sample_crop_pair(rng: np.random.Generator, spec: GridSpec) -> CropPair:
 
 
 def resize(src: np.ndarray, out_side: int) -> np.ndarray:
-    """Bilinear resize of one square image; exact box average on integer downscale."""
+    """Resize one square image into a new array: the exact f x f box average on
+    an integer downscale by f (f = 1 keeps the bits), else pixel-centre
+    bilinear with clamped edges, along rows, then along columns."""
     if src.ndim != 2 or src.shape[0] != src.shape[1]:
         raise ShapeError(f"resize: expected a square image, got {src.shape}")
     if out_side < 1:
         raise ShapeError(f"resize: out_side must be at least 1, got {out_side}")
     s = src.shape[0]
-    if s == out_side:
-        return src.copy()
     if s % out_side == 0:
         f = s // out_side
         return _box_sum(src, f, f) / (f * f)
@@ -108,10 +108,8 @@ def resize(src: np.ndarray, out_side: int) -> np.ndarray:
     hi = np.clip(lo + 1, 0, s - 1)
     # weights in the image's float dtype, so a float32 image stays float32
     frac = np.clip(coords - lo, 0.0, 1.0).astype(np.result_type(src, np.float32))
-    return src[lo][:, lo] * np.outer(1 - frac, 1 - frac) \
-        + src[lo][:, hi] * np.outer(1 - frac, frac) \
-        + src[hi][:, lo] * np.outer(frac, 1 - frac) \
-        + src[hi][:, hi] * np.outer(frac, frac)
+    rows = src[lo] * (1 - frac)[:, None] + src[hi] * frac[:, None]
+    return rows[:, lo] * (1 - frac) + rows[:, hi] * frac
 
 
 def box_mean(image: np.ndarray, f: int) -> np.ndarray:

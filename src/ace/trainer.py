@@ -83,7 +83,7 @@ def augment(rng: np.random.Generator, image: np.ndarray, brightness: float,
     if noise > 0:
         out = out + rng.normal(0.0, noise, size=image.shape).astype(image.dtype)
     if rng.random() < blur_prob:
-        # mild 3x3 binomial blur, reflect padding
+        # mild 3x3 blur, edge padding: centre weight 4, each of the 8 neighbours 1, over 12
         pad = np.pad(out, 1, mode="edge")
         out = (pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:]
                + 4.0 * pad[1:-1, 1:-1] + pad[:-2, :-2] + pad[:-2, 2:]

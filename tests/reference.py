@@ -2,8 +2,8 @@
 
 None of these runs in training or in a probe: the matching loss on an
 explicit probability matrix, the overlap-mask pooling between the C1 and
-C2 token lattices, the grid footprint of a crop token, and the box average
-of an integer downscale.
+C2 token lattices, the grid footprint of a crop token, the box average
+of an integer downscale, and bilinear resize as four weighted corner images.
 """
 
 import numpy as np
@@ -41,3 +41,18 @@ def box_downscale(src, n):
     the mean of its f x f block, f = side / n, as numpy's two-axis mean."""
     f = src.shape[0] // n
     return src.reshape(n, f, n, f).mean(axis=(1, 3))
+
+
+def bilinear(src, n):
+    """Pixel-centre bilinear resize of a square image onto n x n, edges
+    clamped: the four corner images, each weighed by the outer product of
+    its row and column weights, computed in the image's float dtype."""
+    s = src.shape[0]
+    coords = (np.arange(n) + 0.5) * (s / n) - 0.5
+    lo = np.clip(np.floor(coords).astype(int), 0, s - 1)
+    hi = np.clip(lo + 1, 0, s - 1)
+    frac = np.clip(coords - lo, 0.0, 1.0).astype(np.result_type(src, np.float32))
+    return (src[lo][:, lo] * np.outer(1 - frac, 1 - frac)
+            + src[lo][:, hi] * np.outer(1 - frac, frac)
+            + src[hi][:, lo] * np.outer(frac, 1 - frac)
+            + src[hi][:, hi] * np.outer(frac, frac))

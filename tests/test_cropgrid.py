@@ -174,6 +174,25 @@ def test_resize_bilinear_preserves_constants_and_ramps():
     assert np.allclose(inner, inner[0], atol=1e-12)
 
 
+@pytest.mark.parametrize("source", ["phantom", "noise"])
+@pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-15), (np.float32, 4e-7)])
+def test_resize_bilinear_matches_four_corner_reference(source, dtype, atol):
+    """The separable row-then-column pass equals the four-corner outer-product
+    form up to the last bits, up and down, in the image's dtype; the same
+    side gives a new array with the image's bits."""
+    for s, n in [(77, 154), (48, 96), (7, 5), (12, 8), (154, 64), (100, 64)]:
+        if source == "phantom":
+            img = generate(np.random.default_rng(0), PhantomSpec(side=s)).image
+        else:
+            img = np.random.default_rng(s).random((s, s))
+        img = img.astype(dtype)
+        out = resize(img, n)
+        assert out.dtype == dtype and out.shape == (n, n), (s, n)
+        assert np.allclose(out, reference.bilinear(img, n), rtol=0, atol=atol), (s, n)
+        same = resize(img, s)
+        assert np.array_equal(same, img) and not np.shares_memory(same, img), s
+
+
 def test_resize_rejects_non_square():
     with pytest.raises(ShapeError):
         resize(np.zeros((4, 6)), 2)

@@ -104,8 +104,8 @@ def test_schedules_return_python_floats():
 
 
 def test_resize_keeps_float32():
-    """Every branch of `cropgrid.resize` returns a float32 crop for a float32
-    image (same side, box sums below and from 8 columns, bilinear), so a
+    """Both branches of `cropgrid.resize` return a float32 crop for a float32
+    image (box sums at the same side, below and from 8 columns; bilinear), so a
     training config whose crops do not box-pool onto H0 converts nothing."""
     image = np.random.default_rng(0).random((128, 128)).astype(np.float32)
     for side in (128, 64, 16, 48):
