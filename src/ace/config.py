@@ -64,13 +64,15 @@ class RunConfig:
 
     def check(self) -> None:
         """Refuse, by key and value, a loop shape that would crash the training
-        loop or misdirect it, a loss or target value the first step would fail
-        on or silently misuse, and values a component cannot be built from."""
+        loop or misdirect it, a dataset of no phantoms, a loss or target value
+        the first step would fail on or silently misuse, and values a component
+        cannot be built from."""
         for key in (k for k, ftype in _FIELD_TYPES.items() if ftype == "float"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         for key, least in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 1),
-                           ("warmup_epochs", 0), ("kernel_size", 1), ("seed", 0)):
+                           ("warmup_epochs", 0), ("kernel_size", 1), ("seed", 0),
+                           ("phantom_count", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.warmup_epochs >= self.epochs:

@@ -95,8 +95,8 @@ def resize(src: np.ndarray, out_side: int) -> np.ndarray:
     """Resize one square image into a new array: the exact f x f box average on
     an integer downscale by f (f = 1 keeps the bits), else pixel-centre
     bilinear with clamped edges, along rows, then along columns."""
-    if src.ndim != 2 or src.shape[0] != src.shape[1]:
-        raise ShapeError(f"resize: expected a square image, got {src.shape}")
+    if src.ndim != 2 or not src.shape[0] == src.shape[1] >= 1:
+        raise ShapeError(f"resize: expected a non-empty square image, got {src.shape}")
     if out_side < 1:
         raise ShapeError(f"resize: out_side must be at least 1, got {out_side}")
     s = src.shape[0]

@@ -121,11 +121,14 @@ def _random_square(rng: np.random.Generator, side: int):
 
 def compositionality_probe(state: EncoderState, phantoms: list[Phantom], n_parts: int,
                            samples: int, rng: np.random.Generator) -> ProbeReport:
-    """Cosine between a patch embedding and the mean embedding of its 2x2 sub-patches."""
+    """Cosine between a patch embedding and the mean embedding of its 2x2 sub-patches.
+
+    The quadrants reach embed_crops as views of the patch, so each is resized
+    once, straight to H0, as the patch itself is."""
     if n_parts != 4:
         # the split mirrors the composer's 2x2 token blocks; the summary records it
         raise ParameterError(f"n_parts must be 4, got {n_parts}")
-    _require_counts(samples=samples)
+    _require_counts(samples=samples, phantoms=len(phantoms))
     records = []
     for s in range(samples):
         ph = phantoms[int(rng.integers(0, len(phantoms)))]
@@ -134,7 +137,7 @@ def compositionality_probe(state: EncoderState, phantoms: list[Phantom], n_parts
         whole = ph.image[y:y + size, x:x + size]
         h = size // 2
         parts = [whole[:h, :h], whole[:h, h:], whole[h:, :h], whole[h:, h:]]
-        feats = embed_crops(state, [resize(p, size) for p in parts] + [whole])
+        feats = embed_crops(state, parts + [whole])
         sim = _cosine(feats[-1], feats[:-1].mean(axis=0))
         records.append({"sample": s, "instance_id": ph.instance_id, "x": x, "y": y,
                         "size": size, "cosine": sim})
@@ -300,9 +303,13 @@ def symmetry_probe(state: EncoderState, phantoms: list[Phantom],
     records = []
     for ph in phantoms:
         side = ph.image.shape[0]
+        patch = int(patch_frac * side)
+        if patch < 1:
+            raise ParameterError(f"patch_frac {patch_frac} leaves a patch side of {patch} "
+                                 f"on a {side}-pixel image")
         # odd patch side keeps the window symmetric about its center pixel,
         # so a flip maps a left-landmark patch exactly onto the right one
-        patch = int(patch_frac * side) | 1
+        patch |= 1
         for left, right in MIRROR_PAIRS:
             lx, ly = ph.landmarks[left]
             rx, ry = ph.landmarks[right]
@@ -331,7 +338,11 @@ def landmark_separability(state: EncoderState, phantoms: list[Phantom],
         raise ParameterError("landmark separability needs at least 2 instances")
     names = list(phantoms[0].landmarks.keys())
     n_inst, n_lm = len(phantoms), len(names)
-    patch = int(patch_frac * phantoms[0].image.shape[0])
+    side = phantoms[0].image.shape[0]
+    patch = int(patch_frac * side)
+    if patch < 1:
+        raise ParameterError(f"patch_frac {patch_frac} leaves a patch side of {patch} "
+                             f"on a {side}-pixel image")
     crops = []
     for ph in phantoms:
         for name in names:

@@ -317,8 +317,6 @@ def load_manifest(manifest_path) -> list[Phantom]:
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     lines = manifest_path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise FormatError(f"{manifest_path}: empty manifest")
     phantoms = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -343,6 +341,8 @@ def load_manifest(manifest_path) -> list[Phantom]:
                 f"{manifest_path}:{lineno}: record {instance_id!r} names missing file {rel}")
         phantoms.append(Phantom(image=read_image(img_path), landmarks=landmarks,
                                 instance_id=instance_id, seed=seed))
+    if not phantoms:  # an empty file or a header alone: nothing to train or probe on
+        raise FormatError(f"{manifest_path}: no phantom records")
     return phantoms
 
 

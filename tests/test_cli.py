@@ -283,11 +283,11 @@ def test_seed_override_changes_run(workspace, tmp_path):
                                      "tau_teacher=0", "tau_student=-1", "kernel_size=2",
                                      "kernel_size=0", "kernel_sigma=0", "alpha_comp=1.5",
                                      "alpha_decomp=-0.1", "base_lr=nan", "lambda_global=inf",
-                                     "seed=-1"])
+                                     "seed=-1", "phantom_count=0", "phantom_count=-5"])
 def test_loop_shape_out_of_range_is_refused(setting, tmp_path, capsys):
     """A value that would crash the loop, skip the final checkpoint, flip
-    the update, fail the first step or weigh the negatives below zero is
-    refused by name before anything is written."""
+    the update, fail the first step, weigh the negatives below zero or
+    generate no phantoms is refused by name before anything is written."""
     key, value = setting.split("=")
     # a bound set by another key names it and its value: `below epochs (30)`
     named = rf"{key} must be [a-z ]+([0-9]*|[a-z_]+ \(\d+\)), got {value}(\.0)?$"
@@ -299,6 +299,19 @@ def test_loop_shape_out_of_range_is_refused(setting, tmp_path, capsys):
     with pytest.raises(ConfigError, match=named):
         train_loop(apply_overrides(RunConfig(), [setting]), manifest, out)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["compositionality", "correspondence"])
+def test_probe_on_a_header_only_manifest_names_the_file(name, workspace, tmp_path, capsys):
+    root, manifest, tiny = workspace
+    empty = tmp_path / "manifest.tsv"
+    empty.write_text(manifest.read_text().splitlines()[0] + "\n")
+    code = main(["probe", name, "--out", str(tmp_path / "p"),
+                 "--ckpt", str(root / "run" / "checkpoint.ace"), "--manifest", str(empty)] + tiny)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: {empty}: no phantom records"
+    assert "Traceback" not in err
 
 
 def test_negative_seed_flag_is_refused(tmp_path, capsys):

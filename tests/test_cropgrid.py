@@ -202,6 +202,8 @@ def test_resize_rejects_non_square():
         resize(np.zeros((3, 4, 4)), 2)
     with pytest.raises(ShapeError):
         resize(np.zeros(4), 2)
+    with pytest.raises(ShapeError, match=r"non-empty square image, got \(0, 0\)"):
+        resize(np.zeros((0, 0)), 64)
     for out_side in (0, -64):
         with pytest.raises(ShapeError, match=f"out_side must be at least 1, got {out_side}"):
             resize(np.zeros((4, 4)), out_side)

@@ -131,6 +131,24 @@ def test_key_windows_reach_embed_crops_at_h0(probe_state, monkeypatch):
     assert embedded == [(192, 192)] * len(ph.landmarks) + [(h0, h0)] * 33 ** 2
 
 
+def test_compositionality_parts_resize_once_to_h0(probe_state, probe_phantoms, monkeypatch):
+    """Each quadrant reaches embed_crops as a view of the patch and is resized
+    there once, straight to H0; none is first scaled up to the patch's side."""
+    calls = []
+
+    def spy(src, out_side):
+        calls.append((src.shape[0], out_side))
+        return resize(src, out_side)
+
+    monkeypatch.setattr(pb, "resize", spy)
+    rep = pb.compositionality_probe(probe_state, probe_phantoms, n_parts=4, samples=8,
+                                    rng=np.random.default_rng(3))
+    h0 = probe_state.config.H0
+    # every call goes to H0: one per quadrant and one per patch not already at H0
+    assert sorted(calls) == sorted((side, h0) for size in (r["size"] for r in rep.samples)
+                                   for side in [size // 2] * 4 + [size] if side != h0)
+
+
 def test_compositionality_probe_mechanics(probe_state, probe_phantoms):
     rng = np.random.default_rng(1)
     rep = pb.compositionality_probe(probe_state, probe_phantoms, n_parts=4,
@@ -206,14 +224,27 @@ def test_correspondence_same_image_oracle(probe_state, probe_phantoms):
     (lambda st, ph: pb.compositionality_probe(st, ph, n_parts=4, samples=0,
                                               rng=np.random.default_rng(0)),
      "samples must be at least 1, got 0"),
+    (lambda st, ph: pb.compositionality_probe(st, [], n_parts=4, samples=1,
+                                              rng=np.random.default_rng(0)),
+     "phantoms must be at least 1, got 0"),
     (lambda st, ph: pb.symmetry_probe(st, []), "phantoms must be at least 1, got 0"),
     (lambda st, ph: pb.correspondence_probe(st, ph[:1], ph[1:2], window=48, stride=-64),
      "stride must be at least 1, got -64"),
     (lambda st, ph: pb.correspondence_probe(st, ph[:1], ph[1:2], window=48, stride=0),
      "stride must be at least 1, got 0"),
+    (lambda st, ph: pb.symmetry_probe(st, ph[:1], patch_frac=0.001),
+     "patch_frac 0.001 leaves a patch side of 0 on a 128-pixel image"),
+    (lambda st, ph: pb.symmetry_probe(st, ph[:1], patch_frac=-0.5),
+     "patch_frac -0.5 leaves a patch side of -64 on a 128-pixel image"),
+    (lambda st, ph: pb.landmark_separability(st, ph[:2], patch_frac=0.001),
+     "patch_frac 0.001 leaves a patch side of 0 on a 128-pixel image"),
+    (lambda st, ph: pb.landmark_separability(st, ph[:2], patch_frac=-0.5),
+     "patch_frac -0.5 leaves a patch side of -64 on a 128-pixel image"),
 ], ids=["retrieval-batches", "decompositionality-batches", "retrieval-batch-size",
-        "compositionality-samples", "symmetry-phantoms", "correspondence-stride-negative",
-        "correspondence-stride-zero"])
+        "compositionality-samples", "compositionality-phantoms", "symmetry-phantoms",
+        "correspondence-stride-negative", "correspondence-stride-zero",
+        "symmetry-patch-zero", "symmetry-patch-negative", "separability-patch-zero",
+        "separability-patch-negative"])
 def test_probe_refuses_count_below_one(call, named, probe_state, probe_phantoms):
     with pytest.raises(ParameterError, match=f"^{named}$"):
         call(probe_state, probe_phantoms)

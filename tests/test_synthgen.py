@@ -163,6 +163,16 @@ def test_manifest_missing_file_names_record(tmp_path):
     assert "gone" in str(exc.value)
 
 
+def test_manifest_without_records_names_the_file(tmp_path):
+    header_only = build_manifest(tmp_path / "header", [])
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    for manifest in (header_only, empty):
+        with pytest.raises(FormatError) as exc:
+            load_manifest(manifest)
+        assert str(exc.value) == f"{manifest}: no phantom records"
+
+
 @pytest.mark.parametrize("column, value", [("left_rib2_y", "abc"), ("seed", "1.5")])
 def test_manifest_bad_number_names_line_and_column(tmp_path, column, value):
     phantoms = [generate(np.random.default_rng(i), PhantomSpec(side=32), instance_id=f"p{i}",
