@@ -11,6 +11,7 @@ tokens tile each C2 token; which four is `model.group_blocks`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,13 +104,25 @@ def resize(src: np.ndarray, out_side: int) -> np.ndarray:
     if s % out_side == 0:
         f = s // out_side
         return _box_sum(src, f, f) / (f * f)
+    lo, hi, frac = _bilinear_plan(s, out_side)
+    # weights in the image's float dtype, so a float32 image stays float32
+    frac = frac.astype(np.result_type(src, np.float32), copy=False)
+    keep = 1 - frac
+    rows = src[lo] * keep[:, None] + src[hi] * frac[:, None]
+    return rows[:, lo] * keep + rows[:, hi] * frac
+
+
+@lru_cache(maxsize=256)
+def _bilinear_plan(s: int, out_side: int):
+    """Read-only source indices (lo, hi) and float64 weights of hi for each
+    output pixel of an s -> out_side bilinear resize, one axis."""
     coords = (np.arange(out_side) + 0.5) * (s / out_side) - 0.5
     lo = np.clip(np.floor(coords).astype(int), 0, s - 1)
     hi = np.clip(lo + 1, 0, s - 1)
-    # weights in the image's float dtype, so a float32 image stays float32
-    frac = np.clip(coords - lo, 0.0, 1.0).astype(np.result_type(src, np.float32))
-    rows = src[lo] * (1 - frac)[:, None] + src[hi] * frac[:, None]
-    return rows[:, lo] * (1 - frac) + rows[:, hi] * frac
+    frac = np.clip(coords - lo, 0.0, 1.0)
+    for a in (lo, hi, frac):
+        a.flags.writeable = False
+    return lo, hi, frac
 
 
 def box_mean(image: np.ndarray, f: int) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Frozen-checkpoint property probes scored against synthetic ground truth.
 
 All probes share one feature extractor: crop, resize to the encoder input
-side, student encode, mean over tokens.  The correspondence key windows
-whose side is a multiple of H0 are box-pooled once per key image
-(`cropgrid.box_mean`) and reach it as H0-side views, which are stacked
-without a resize.  No probe fine-tunes anything, and
+side, student encode, mean over tokens.  It encodes 32 crops at a time, so at
+the desk encoder's size a chunk's MLP activations fit a 2 MiB L2 cache, and
+the separability probe cuts its crops one such chunk at a time.  The
+correspondence key windows whose side is a multiple of H0 are box-pooled
+once per key image (`cropgrid.box_mean`) and reach it as H0-side views,
+which are stacked without a resize.  No probe fine-tunes anything, and
 feature extraction never sees labels; ground truth enters only at scoring
 time.  Each probe is a pure function of (checkpoint, phantoms, seed).
 """
@@ -24,7 +26,7 @@ from .model import EncoderState, encode_batch
 from .synthgen import MIRROR_PAIRS, Phantom
 from .tensor import DTYPE
 
-_ENCODE_CHUNK = 256
+_ENCODE_CHUNK = 32
 
 
 @dataclass
@@ -55,13 +57,16 @@ def embed_crops(state: EncoderState, crops) -> np.ndarray:
     """Shared feature path: resize each crop to H0, encode, mean-pool tokens -> (B, K).
 
     ``crops`` is a sized sequence of square crops of any side: a list of
-    arrays or views, or a stack.  A crop already H0 x H0 is stacked as it
-    is; correspondence key windows at a multiple of H0 arrive that way,
-    box-pooled in `cropgrid.box_mean`, as H0-side views.  Crops are resized
-    in float64 and cast to float32 as the chunk is stacked, so a pooled view
-    and a resized window give the same bits; the features are float32.  The
-    first call keeps freed heap pages in the process for good
-    (`heap.hold_freed_pages`)."""
+    arrays or views, or a stack.  They are encoded `_ENCODE_CHUNK` (32) at a
+    time: at the desk encoder's 64 tokens and 64 hidden units a chunk's
+    float32 MLP activations take 512 KiB and fit a 2 MiB L2 cache, where 256
+    crops would take 4 MiB.  A row does not depend on the chunking.  A crop
+    already H0 x H0 is stacked as it is; correspondence key windows at a
+    multiple of H0 arrive that way, box-pooled in `cropgrid.box_mean`, as
+    H0-side views.  Crops are resized in float64 and cast to float32 as the
+    chunk is stacked, so a pooled view and a resized window give the same
+    bits; the features are float32.  The first call keeps freed heap pages
+    in the process for good (`heap.hold_freed_pages`)."""
     heap.hold_freed_pages()
     cfg = state.config
     feats = []
@@ -99,11 +104,12 @@ def _crop_centered(image: np.ndarray, cx: float, cy: float, side: int) -> np.nda
     return out
 
 
-def _require_counts(**counts) -> None:
-    """Refuse, by name, a count or stride below 1: a probe over nothing scores nothing."""
+def _require_counts(least: int = 1, **counts) -> None:
+    """Refuse, by name, a count or stride below ``least``: a probe over nothing
+    scores nothing."""
     for name, n in counts.items():
-        if n < 1:
-            raise ParameterError(f"{name} must be at least 1, got {n}")
+        if n < least:
+            raise ParameterError(f"{name} must be at least {least}, got {n}")
 
 
 def _random_square(rng: np.random.Generator, side: int):
@@ -154,7 +160,9 @@ def decompositionality_probe(state: EncoderState, phantoms: list[Phantom],
                              rng: np.random.Generator, batch_size: int = 32,
                              n_batches: int = 8) -> ProbeReport:
     """Match embed(X) - embed(X without a patch) against the excised patches."""
-    _require_counts(batch_size=batch_size, n_batches=n_batches)
+    # a margin needs a runner-up candidate in the batch
+    _require_counts(2, batch_size=batch_size)
+    _require_counts(n_batches=n_batches)
     if len(phantoms) < batch_size:
         raise ParameterError(f"need at least {batch_size} phantoms, got {len(phantoms)}")
     records = []
@@ -196,7 +204,9 @@ def retrieval_probe(state: EncoderState, phantoms: list[Phantom],
                     rng: np.random.Generator, batch_size: int = 32,
                     n_batches: int = 8) -> ProbeReport:
     """Whole-image retrieval from one query patch per batch item."""
-    _require_counts(batch_size=batch_size, n_batches=n_batches)
+    # a margin needs a runner-up candidate in the batch
+    _require_counts(2, batch_size=batch_size)
+    _require_counts(n_batches=n_batches)
     if len(phantoms) < batch_size:
         raise ParameterError(f"need at least {batch_size} phantoms, got {len(phantoms)}")
     records = []
@@ -343,12 +353,13 @@ def landmark_separability(state: EncoderState, phantoms: list[Phantom],
     if patch < 1:
         raise ParameterError(f"patch_frac {patch_frac} leaves a patch side of {patch} "
                              f"on a {side}-pixel image")
-    crops = []
-    for ph in phantoms:
-        for name in names:
-            x, y = ph.landmarks[name]
-            crops.append(_crop_centered(ph.image, x, y, patch))
-    feats = embed_crops(state, crops).reshape(n_inst, n_lm, -1)
+    # cut one encode chunk of crops at a time, so the float64 crops of every
+    # site are never held at once
+    sites = [(ph.image, *ph.landmarks[name]) for ph in phantoms for name in names]
+    feats = np.concatenate([
+        embed_crops(state, [_crop_centered(image, x, y, patch)
+                            for image, x, y in sites[i:i + _ENCODE_CHUNK]])
+        for i in range(0, len(sites), _ENCODE_CHUNK)]).reshape(n_inst, n_lm, -1)
 
     if embeddings_csv is not None:
         with open(embeddings_csv, "w", newline="", encoding="utf-8") as f:

@@ -52,6 +52,39 @@ def test_embed_crops_shape_and_determinism(probe_state, probe_phantoms):
     assert np.array_equal(c[4], pb.embed_crops(probe_state, [resize(views[4], 32)])[0])
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 256])
+def test_chunk_size_never_changes_a_feature(chunk, probe_state, probe_phantoms, monkeypatch):
+    """Rows are the same bits however embed_crops chunks its crops: H0-side
+    views, views of other sides and a float32 crop, over more than one
+    default chunk."""
+    h0 = probe_state.config.H0
+    crops = []
+    for i, p in enumerate(probe_phantoms[:10]):
+        crops += [p.image[i:i + h0, :h0], p.image[:40 + 2 * i, :40 + 2 * i],
+                  p.image[8:8 + h0 // 2, 8:8 + h0 // 2], p.image[:96, :96]]
+    crops.append(probe_phantoms[10].image[:48, :48].astype(np.float32))
+    assert len(crops) > pb._ENCODE_CHUNK
+    expected = pb.embed_crops(probe_state, crops)
+    monkeypatch.setattr(pb, "_ENCODE_CHUNK", chunk)
+    assert np.array_equal(pb.embed_crops(probe_state, crops), expected)
+
+
+def test_separability_holds_one_chunk_of_crops(probe_state):
+    """landmark_separability cuts its zero-padded float64 crops one encode
+    chunk at a time: at 40 phantoms of 256 and patch_frac 0.875 all 360 crops
+    of 224 pixels take 145 MB, one chunk of 32 takes 12.8 MB, and the
+    allocation peak stays below 30 MB."""
+    phantoms = [generate(instance_rng(17, i)[0], PhantomSpec(side=256), instance_id=f"v{i}")
+                for i in range(40)]
+    tracemalloc.start()
+    try:
+        pb.landmark_separability(probe_state, phantoms, patch_frac=0.875)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, f"peak {peak / 1e6:.0f} MB"
+
+
 def test_correspondence_windows_stay_views(probe_state):
     """The key dictionary's windows reach embed_crops as views: one call at
     window 192 and stride 8 on a 256-pixel phantom (1,089 windows, 306 MiB
@@ -220,7 +253,12 @@ def test_correspondence_same_image_oracle(probe_state, probe_phantoms):
     (lambda st, ph: pb.decompositionality_probe(st, ph, np.random.default_rng(0), n_batches=0),
      "n_batches must be at least 1, got 0"),
     (lambda st, ph: pb.retrieval_probe(st, ph, np.random.default_rng(0), batch_size=0),
-     "batch_size must be at least 1, got 0"),
+     "batch_size must be at least 2, got 0"),
+    (lambda st, ph: pb.retrieval_probe(st, ph, np.random.default_rng(0), batch_size=1),
+     "batch_size must be at least 2, got 1"),
+    (lambda st, ph: pb.decompositionality_probe(st, ph, np.random.default_rng(0),
+                                                batch_size=1),
+     "batch_size must be at least 2, got 1"),
     (lambda st, ph: pb.compositionality_probe(st, ph, n_parts=4, samples=0,
                                               rng=np.random.default_rng(0)),
      "samples must be at least 1, got 0"),
@@ -241,6 +279,7 @@ def test_correspondence_same_image_oracle(probe_state, probe_phantoms):
     (lambda st, ph: pb.landmark_separability(st, ph[:2], patch_frac=-0.5),
      "patch_frac -0.5 leaves a patch side of -64 on a 128-pixel image"),
 ], ids=["retrieval-batches", "decompositionality-batches", "retrieval-batch-size",
+        "retrieval-batch-size-one", "decompositionality-batch-size-one",
         "compositionality-samples", "compositionality-phantoms", "symmetry-phantoms",
         "correspondence-stride-negative", "correspondence-stride-zero",
         "symmetry-patch-zero", "symmetry-patch-negative", "separability-patch-zero",
