@@ -69,7 +69,7 @@ def embed_crops(state: EncoderState, crops) -> np.ndarray:
     in the process for good (`heap.hold_freed_pages`)."""
     heap.hold_freed_pages()
     cfg = state.config
-    feats = []
+    feats = [np.empty((0, cfg.K), DTYPE)]  # no crops give no rows
     for i in range(0, len(crops), _ENCODE_CHUNK):
         chunk = [np.asarray(c, dtype=float) for c in crops[i:i + _ENCODE_CHUNK]]
         resized = np.stack([c if c.shape == (cfg.H0, cfg.H0) else resize(c, cfg.H0)
@@ -230,8 +230,7 @@ def retrieval_probe(state: EncoderState, phantoms: list[Phantom],
             records.append({"batch": b, "item": j, "correct": int(hit),
                             "margin": float(order[0] - order[1])})
     summary = {"batches": n_batches, "batch_size": batch_size,
-               "accuracy": correct / n_queries, "chance": 1.0 / batch_size,
-               "degenerate": int(batch_size == 1)}
+               "accuracy": correct / n_queries, "chance": 1.0 / batch_size}
     return ProbeReport("retrieval", summary, records)
 
 

@@ -152,8 +152,8 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def _sigmoid_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-|x|) and sigmoid(x), free of overflow for large |x|; the
-    exponential is taken once."""
+    """exp(-|x|) and sigmoid(x), free of overflow for large |x|, for the
+    matching loss: the exponential is taken once and feeds its softplus."""
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -165,8 +165,12 @@ def _sigmoid_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def silu(a: Tensor) -> Tensor:
-    """Smooth gating activation x * sigmoid(x)."""
-    _, s = _sigmoid_parts(a.data)
+    """Smooth gating activation x * sigmoid(x), with the sigmoid taken as
+    0.5 * tanh(0.5 * x) + 0.5: one transcendental, and no overflow."""
+    s = np.multiply(a.data, 0.5)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
 
     def bw(g):
         # g * (s * (1 + x * (1 - s))), built in one buffer
@@ -288,12 +292,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if gain.data.shape != (k,) or bias.data.shape != (k,):
         raise ShapeError(f"layer_norm: shapes {x.data.shape}, {gain.data.shape} and "
                          f"{bias.data.shape} incompatible")
-    # one centred pass gives the mean and the variance, as np.var computes them
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    # row means as GEMVs with a vector of 1/k: far faster than last-axis reductions
+    avg = np.full(k, 1.0 / k, dtype=x.data.dtype)
+    xc = x.data - (x.data @ avg)[..., None]
     y = np.square(xc)  # the squared deviations, then the standardized rows
-    var = y.sum(axis=-1, keepdims=True)
-    var /= k
-    inv = 1.0 / np.sqrt(var + 1e-6)
+    inv = (1.0 / np.sqrt(y @ avg + 1e-6))[..., None]
     np.multiply(xc, inv, out=y)
     out = y * gain.data
     out += bias.data
@@ -307,8 +310,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             # inv * (gy - mean(gy) - y * mean(gy * y)) for gy = g * gain,
             # with xc as the scratch buffer
             gy = g * gain.data
-            gm = gy.mean(axis=-1, keepdims=True)
-            gyy = np.multiply(gy, y, out=xc).mean(axis=-1, keepdims=True)
+            gm = (gy @ avg)[..., None]
+            gyy = (np.multiply(gy, y, out=xc) @ avg)[..., None]
             np.multiply(y, gyy, out=xc)
             d = gy - gm
             d -= xc

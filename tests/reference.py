@@ -3,7 +3,9 @@
 None of these runs in training or in a probe: the matching loss on an
 explicit probability matrix, the overlap-mask pooling between the C1 and
 C2 token lattices, the grid footprint of a crop token, the box average
-of an integer downscale, and bilinear resize as four weighted corner images.
+of an integer downscale, bilinear resize as four weighted corner images,
+and SiLU and row standardization in float64 by numpy's own exp, mean and
+var.
 """
 
 import numpy as np
@@ -56,3 +58,18 @@ def bilinear(src, n):
             + src[lo][:, hi] * np.outer(1 - frac, frac)
             + src[hi][:, lo] * np.outer(frac, 1 - frac)
             + src[hi][:, hi] * np.outer(frac, frac))
+
+
+def silu(x):
+    """x * sigmoid(x) in float64, the sigmoid as 1 / (1 + exp(-x)) taken on
+    exp(-|x|), so it cannot overflow."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return x * np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def row_norm(x, eps=1e-6):
+    """Each row (last axis) at zero mean and unit variance, in float64:
+    (x - mean) / sqrt(var + eps) with numpy's mean and var."""
+    x = np.asarray(x, dtype=np.float64)
+    return (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + eps)

@@ -50,6 +50,9 @@ def test_embed_crops_shape_and_determinism(probe_state, probe_phantoms):
     c = pb.embed_crops(probe_state, views)
     assert np.array_equal(c[:4], a)
     assert np.array_equal(c[4], pb.embed_crops(probe_state, [resize(views[4], 32)])[0])
+    # no crops give no rows
+    empty = pb.embed_crops(probe_state, [])
+    assert empty.shape == (0, probe_state.config.K) and empty.dtype == np.float32
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 256])
@@ -217,6 +220,13 @@ def test_retrieval_embeds_each_batch_in_two_calls(probe_state, probe_phantoms, m
     monkeypatch.setattr(pb, "encode_batch", spy)
     pb.retrieval_probe(probe_state, probe_phantoms, np.random.default_rng(7), n_batches=2)
     assert rows == [32, 32, 32, 32]
+
+
+def test_retrieval_summary_keys(probe_state, probe_phantoms):
+    rep = pb.retrieval_probe(probe_state, probe_phantoms, np.random.default_rng(7), n_batches=1)
+    assert list(rep.summary) == ["batches", "batch_size", "accuracy", "chance"]
+    assert rep.summary["batches"] == 1 and rep.summary["batch_size"] == 32
+    assert rep.summary["chance"] == pytest.approx(1 / 32)
 
 
 def test_retrieval_needs_enough_phantoms(probe_state, probe_phantoms):

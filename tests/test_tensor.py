@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ace.tensor as tz
+import reference
 from ace.errors import EmptyOverlapError, ParameterError, ShapeError
 from ace.gradcases import primitive_cases, weigh
 from ace.tensor import Tape, Tensor, backward, grad_check
@@ -44,7 +45,12 @@ def test_sigmoid_extreme_values_finite():
     e, s = tz._sigmoid_parts(x)
     assert np.all(np.isfinite(e)) and np.all(np.isfinite(s))
     assert np.isclose(s[0], 0.0) and np.isclose(s[1], 1.0)
-    assert np.allclose(tz.silu(Tensor(x)).data, [0.0, 1000.0])
+    # tanh saturates: no overflow and no inf * 0, in either dtype
+    for dtype in (np.float64, np.float32):
+        for big in (1000.0, 3e38):
+            with np.errstate(over="raise", invalid="raise"):
+                y = tz.silu(Tensor(np.array([-big, big], dtype=dtype))).data
+            assert y.dtype == dtype and np.array_equal(y, np.array([0.0, big], dtype=dtype))
 
 
 def test_masked_mean_pool_value():
@@ -278,7 +284,8 @@ def test_misshaped_gradient_raises():
 
 
 # ---------------------------------------------------------------------------
-# rewritten kernels against their previous expressions, bit for bit
+# fused kernels against their plain expressions, bit for bit, and against
+# float64 oracles in `reference`
 
 # ±0, exp(-|x|) underflow (|x| >= 746), NaN, and ordinary values
 _SPECIAL = np.array([0.0, -0.0, 745.5, -745.5, 746.0, -746.0, 800.0, -1e4, np.nan, 1.0, -1.0])
@@ -306,17 +313,17 @@ def _ref_sigmoid_parts(x):
 
 
 def _ref_silu(x, g):
-    _, s = _ref_sigmoid_parts(x)
+    s = 0.5 * np.tanh(0.5 * x) + 0.5
     return x * s, g * (s * (1.0 + x * (1.0 - s)))
 
 
 def _ref_row_norm(x, g):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-6)
-    y = (x - mu) * inv
-    gm = g.mean(axis=-1, keepdims=True)
-    gy = (g * y).mean(axis=-1, keepdims=True)
+    avg = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=x.dtype)
+    xc = x - (x @ avg)[..., None]
+    inv = 1.0 / np.sqrt(np.square(xc) @ avg + 1e-6)[..., None]
+    y = xc * inv
+    gm = (g @ avg)[..., None]
+    gy = ((g * y) @ avg)[..., None]
     return y, inv * (g - gm - y * gy)
 
 
@@ -377,6 +384,33 @@ def test_row_norm_bit_identical(shape):
     assert _same_bits(y, y_ref)
     assert all(_same_bits(got, ref) for got, ref in zip(grads, grads_ref))
     assert np.isfinite(grads[0].reshape(-1, shape[-1])[1:]).all()
+
+
+@pytest.mark.parametrize("dtype, atol", [(np.float64, 3e-14), (np.float32, 4e-6)])
+def test_silu_matches_float64_reference(dtype, atol):
+    """The tanh form of the sigmoid stays within a few ulps of the float64
+    exp form, on a dense grid over |x| <= 28 and on random values."""
+    x = np.concatenate([np.linspace(-28.0, 28.0, 20001),
+                        np.random.default_rng(8).normal(scale=6.0, size=4000).clip(-28, 28)])
+    x = x.astype(dtype)
+    y = tz.silu(Tensor(x)).data
+    assert y.dtype == dtype
+    assert np.abs(y - reference.silu(x)).max() <= atol
+
+
+@pytest.mark.parametrize("dtype, atol", [(np.float64, 4e-15), (np.float32, 2e-6)])
+@pytest.mark.parametrize("shape", [(4, 11), (2, 16, 130), (3, 64, 32)])
+def test_layer_norm_matches_float64_reference(shape, dtype, atol):
+    """Row statistics by GEMV standardize as accurately as numpy's mean and
+    var, rows of offset and scale far from 0 and 1 included."""
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=shape) * rng.uniform(0.01, 10.0, size=shape[:-1] + (1,)) \
+        + rng.uniform(-5.0, 5.0, size=shape[:-1] + (1,))
+    x = x.astype(dtype)
+    ones, zeros = np.ones(shape[-1], dtype), np.zeros(shape[-1], dtype)
+    y = tz.layer_norm(Tensor(x), Tensor(ones), Tensor(zeros)).data
+    assert y.dtype == dtype
+    assert np.abs(y - reference.row_norm(x)).max() <= atol
 
 
 @pytest.mark.parametrize("alpha", [0.9, 1.0])
