@@ -1,9 +1,13 @@
-"""Keep freed heap pages in the process between training steps and probe chunks.
+"""Keep freed heap pages in the process between training steps, probe chunks
+and generated phantoms.
 
 A desk step or a probe chunk allocates MBs of array temporaries and frees
 them.  By glibc's dynamic rule the freed top of the heap goes back to the
 OS each time, and the next step faults it in again, zero-filled (about
-1,250 minor faults per desk step when steps ran in float64).
+1,250 minor faults per desk step when steps ran in float64).  A 256 x 256
+float64 phantom temporary (512 KiB) is above glibc's default mmap
+threshold, so each full-image pass of `synthgen.generate` mapped a fresh
+one: about 1,200 minor faults per phantom, none once the pages are held.
 `hold_freed_pages` fixes the mmap threshold at glibc's 64-bit ceiling and
 the trim threshold above it, so blocks below 32 MiB come from the heap and
 up to 64 MiB of freed heap stays with the process.  Unlike

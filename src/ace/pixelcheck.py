@@ -15,6 +15,7 @@ import numpy as np
 
 from . import model
 from .cropgrid import CropPair, GridSpec, sample_crop_pair
+from .errors import ParameterError
 from .tensor import Tensor
 
 
@@ -95,10 +96,19 @@ def _block_members(t: int) -> np.ndarray:
     return model.group_blocks(Tensor(np.arange(t * t)[:, None])).data
 
 
-def check_pair(spec: GridSpec, pair: CropPair) -> list[str]:
-    """Compare one sampled pair against the pixel oracle; returns mismatch notes."""
+def check_pair(spec: GridSpec, pair: CropPair, memo: dict | None = None) -> list[str]:
+    """Compare one sampled pair against the pixel oracle; returns mismatch notes.
+
+    `memo` maps (anchor1, anchor2) to the oracle's result, so a caller that
+    checks many pairs runs the oracle once per distinct anchor pair.  An
+    oracle rejection raises and leaves nothing behind.
+    """
+    key = (pair.anchor1, pair.anchor2)
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = overlap_via_pixels(spec, *key)
+    O1, O2, members = memo[key]
     notes = []
-    O1, O2, members = overlap_via_pixels(spec, pair.anchor1, pair.anchor2)
     if not np.array_equal(members, _block_members(spec.T)):
         notes.append(f"2x2 regroup mismatch at anchors {pair.anchor1}/{pair.anchor2}")
     if not np.array_equal(O1, pair.O1):
@@ -112,23 +122,28 @@ def check_pair(spec: GridSpec, pair: CropPair) -> list[str]:
 
 def verify_geometry(spec: GridSpec, samples: int, seed: int,
                     corrupt: bool = False) -> GeometryReport:
-    """Sample pairs and check each against the oracle.
+    """Sample pairs and check each against the oracle, which runs once per
+    distinct anchor pair within the call.
 
     `corrupt` is a test hook that shifts C1's anchor by one patch (left at the
     grid's edge), breaking even alignment, to prove the oracle rejects bad geometry.
     """
+    if samples < 1:
+        raise ParameterError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    failures = []
+    failures, memo = [], {}
     for _ in range(samples):
         pair = sample_crop_pair(rng, spec)
         if corrupt:
             x, y = pair.anchor1
             bad = replace(pair, anchor1=(x + 1 if x + spec.c1 < spec.G else x - 1, y))
             try:
-                notes = check_pair(spec, bad)
+                notes = check_pair(spec, bad, memo)
             except AssertionError as exc:
                 notes = [f"oracle rejection at anchors {bad.anchor1}/{bad.anchor2}: {exc}"]
         else:
-            notes = check_pair(spec, pair)
+            notes = check_pair(spec, pair, memo)
         failures.extend(notes)
     return GeometryReport(samples=samples, failures=failures)

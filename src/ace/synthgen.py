@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import heap
 from .errors import FormatError, ParameterError
 
 LANDMARK_NAMES = (
@@ -353,7 +354,17 @@ def instance_rng(master_seed: int, index: int) -> tuple[np.random.Generator, int
 
 
 def generate_dataset(directory, count: int, spec: PhantomSpec, master_seed: int) -> Path:
-    """Generate `count` phantoms, write PGMs and the manifest; returns manifest path."""
+    """Generate `count` phantoms, write PGMs and the manifest; returns manifest path.
+
+    Keeps freed heap pages in the process for good (`heap.hold_freed_pages`):
+    each full-image pass allocates a temporary above glibc's default mmap
+    threshold.
+    """
+    if count < 1:
+        raise ParameterError(f"count must be at least 1, got {count}")
+    if master_seed < 0:
+        raise ParameterError(f"master_seed must be non-negative, got {master_seed}")
+    heap.hold_freed_pages()
     phantoms = []
     for i in range(count):
         rng, _ = instance_rng(master_seed, i)

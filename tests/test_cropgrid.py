@@ -14,12 +14,14 @@ import reference
 
 import ace
 import ace.model as model
+import ace.pixelcheck as pixelcheck
 import ace.tensor as tz
 from ace.cropgrid import (GridSpec, box_mean, compute_overlap, extract_and_resize, resize,
                           sample_crop_pair)
 from ace.errors import AlignmentError, GeometryError, ParameterError, ShapeError
 from ace.objective import build_target
-from ace.pixelcheck import _block_members, _token_rects, overlap_via_pixels, verify_geometry
+from ace.pixelcheck import (_block_members, _token_rects, check_pair, overlap_via_pixels,
+                            verify_geometry)
 from ace.synthgen import PhantomSpec, generate
 
 
@@ -148,6 +150,41 @@ def test_verify_geometry_catches_a_broken_regroup(desk_spec, monkeypatch):
         _block_members.cache_clear()
     assert len(report.failures) == 100
     assert all("2x2 regroup mismatch" in note for note in report.failures)
+
+
+def test_verify_geometry_runs_the_oracle_once_per_distinct_anchor_pair(desk_spec,
+                                                                         monkeypatch):
+    """At desk scale 300 samples draw from only 25 anchor pairs; the oracle
+    runs once for each pair drawn, and a second call starts afresh."""
+    calls = []
+
+    def counted(spec, anchor1, anchor2):
+        calls.append((anchor1, anchor2))
+        return overlap_via_pixels(spec, anchor1, anchor2)
+
+    monkeypatch.setattr(pixelcheck, "overlap_via_pixels", counted)
+    rng = np.random.default_rng(4)
+    drawn = {(p.anchor1, p.anchor2) for p in (sample_crop_pair(rng, desk_spec)
+                                               for _ in range(300))}
+    assert verify_geometry(desk_spec, 300, seed=4).ok
+    assert sorted(calls) == sorted(drawn) and len(drawn) <= 25
+    calls.clear()
+    assert verify_geometry(desk_spec, 300, seed=4).ok
+    assert sorted(calls) == sorted(drawn)
+
+
+def test_check_pair_alone(desk_spec):
+    pair = sample_crop_pair(np.random.default_rng(0), desk_spec)
+    assert check_pair(desk_spec, pair) == []
+
+
+@pytest.mark.parametrize("samples, seed, name", [(0, 0, "samples"), (-1, 0, "samples"),
+                                                 (10, -1, "seed")])
+def test_verify_geometry_refuses_no_samples_and_a_negative_seed(desk_spec, samples, seed, name):
+    """Zero samples would pass over no pairs; numpy's own refusal of a negative
+    seed names no argument."""
+    with pytest.raises(ParameterError, match=rf"^{name} must be"):
+        verify_geometry(desk_spec, samples, seed)
 
 
 def test_resize_identity_and_box_average():

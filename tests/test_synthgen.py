@@ -217,3 +217,14 @@ def test_generate_dataset_deterministic(tmp_path):
     pb = load_manifest(m2)
     for x, y in zip(pa, pb):
         assert np.array_equal(x.image, y.image)
+
+
+@pytest.mark.parametrize("count, master_seed, name", [(0, 0, "count"), (-2, 0, "count"),
+                                                      (3, -1, "master_seed")])
+def test_generate_dataset_refuses_an_empty_or_unseedable_run(tmp_path, count, master_seed,
+                                                              name):
+    """Refused by name before anything is written, not later by load_manifest
+    (an empty manifest) or by numpy (an unnamed negative-seed ValueError)."""
+    with pytest.raises(ParameterError, match=rf"^{name} must be"):
+        generate_dataset(tmp_path / "ds", count, PhantomSpec(side=64), master_seed=master_seed)
+    assert not (tmp_path / "ds").exists()
