@@ -39,7 +39,6 @@ class ProbeReport:
         path = Path(path)
         with open(path, "w", newline="", encoding="utf-8") as f:
             if not self.samples:
-                f.write("")
                 return
             writer = csv.DictWriter(f, fieldnames=list(self.samples[0].keys()))
             writer.writeheader()
@@ -156,47 +155,52 @@ def compositionality_probe(state: EncoderState, phantoms: list[Phantom], n_parts
     return ProbeReport("compositionality", summary, records)
 
 
-def decompositionality_probe(state: EncoderState, phantoms: list[Phantom],
-                             rng: np.random.Generator, batch_size: int = 32,
-                             n_batches: int = 8) -> ProbeReport:
-    """Match embed(X) - embed(X without a patch) against the excised patches."""
+def _match_batches(phantoms: list[Phantom], rng: np.random.Generator, batch_size: int,
+                   n_batches: int, draw) -> list[dict]:
+    """Score batches of `batch_size` distinct phantoms by cosine matching.
+
+    `draw(images)` returns the batch's (queries, candidates) features; item j
+    is a hit when its query's best candidate is candidate j.  A tie is an
+    exact float32 equality of the best cosines; it breaks to the lowest index."""
     # a margin needs a runner-up candidate in the batch
     _require_counts(2, batch_size=batch_size)
     _require_counts(n_batches=n_batches)
     if len(phantoms) < batch_size:
         raise ParameterError(f"need at least {batch_size} phantoms, got {len(phantoms)}")
     records = []
-    correct = ties = 0
     for b in range(n_batches):
         chosen = rng.choice(len(phantoms), size=batch_size, replace=False)
-        wholes, excised, patches = [], [], []
-        for i in chosen:
-            img = phantoms[int(i)].image
+        queries, candidates = draw([phantoms[int(i)].image for i in chosen])
+        for j in range(batch_size):
+            sims = _cosine_matrix(queries[j], candidates)
+            winners = np.flatnonzero(sims == sims.max())
+            order = np.sort(sims)[::-1]
+            records.append({"batch": b, "item": j, "correct": int(winners[0] == j),
+                            "tie": int(len(winners) > 1),
+                            "margin": float(order[0] - order[1])})
+    return records
+
+
+def decompositionality_probe(state: EncoderState, phantoms: list[Phantom],
+                             rng: np.random.Generator, batch_size: int = 32,
+                             n_batches: int = 8) -> ProbeReport:
+    """Match embed(X) - embed(X without a patch) against the excised patches."""
+    def draw(images):
+        excised, patches = [], []
+        for img in images:
             x, y, size = _random_square(rng, img.shape[0])
             cut = img.copy()
             cut[y:y + size, x:x + size] = 0.0
-            wholes.append(img)
             excised.append(cut)
             patches.append(img[y:y + size, x:x + size])
-        f_whole = embed_crops(state, wholes)
+        f_whole = embed_crops(state, images)
         f_exc = embed_crops(state, excised)
-        f_patch = embed_crops(state, patches)
-        diffs = f_whole - f_exc
-        for j in range(batch_size):
-            sims = _cosine_matrix(diffs[j], f_patch)
-            best = sims.max()
-            winners = np.flatnonzero(sims >= best - 1e-12)
-            tie = len(winners) > 1
-            pred = int(winners[0])  # degenerate ties break to the lowest index
-            hit = pred == j
-            correct += hit
-            ties += tie
-            order = np.sort(sims)[::-1]
-            records.append({"batch": b, "item": j, "correct": int(hit), "tie": int(tie),
-                            "margin": float(order[0] - order[1])})
-    total = n_batches * batch_size
+        return f_whole - f_exc, embed_crops(state, patches)
+
+    records = _match_batches(phantoms, rng, batch_size, n_batches, draw)
     summary = {"batches": n_batches, "batch_size": batch_size,
-               "accuracy": correct / total, "ties": ties, "chance": 1.0 / batch_size}
+               "accuracy": sum(r["correct"] for r in records) / len(records),
+               "ties": sum(r["tie"] for r in records), "chance": 1.0 / batch_size}
     return ProbeReport("decompositionality", summary, records)
 
 
@@ -204,33 +208,17 @@ def retrieval_probe(state: EncoderState, phantoms: list[Phantom],
                     rng: np.random.Generator, batch_size: int = 32,
                     n_batches: int = 8) -> ProbeReport:
     """Whole-image retrieval from one query patch per batch item."""
-    # a margin needs a runner-up candidate in the batch
-    _require_counts(2, batch_size=batch_size)
-    _require_counts(n_batches=n_batches)
-    if len(phantoms) < batch_size:
-        raise ParameterError(f"need at least {batch_size} phantoms, got {len(phantoms)}")
-    records = []
-    correct = 0
-    n_queries = 0
-    for b in range(n_batches):
-        chosen = rng.choice(len(phantoms), size=batch_size, replace=False)
-        images = [phantoms[int(i)].image for i in chosen]
+    def draw(images):
         f_whole = embed_crops(state, images)
         # the squares are drawn in item order, so the RNG stream does not depend on batching
         squares = [_random_square(rng, img.shape[0]) for img in images]
-        f_query = embed_crops(state, [img[y:y + size, x:x + size]
-                                      for img, (x, y, size) in zip(images, squares)])
-        for j in range(batch_size):
-            sims = _cosine_matrix(f_query[j], f_whole)
-            pred = int(np.argmax(sims))
-            hit = pred == j
-            correct += hit
-            n_queries += 1
-            order = np.sort(sims)[::-1]
-            records.append({"batch": b, "item": j, "correct": int(hit),
-                            "margin": float(order[0] - order[1])})
+        return embed_crops(state, [img[y:y + size, x:x + size]
+                                   for img, (x, y, size) in zip(images, squares)]), f_whole
+
+    records = _match_batches(phantoms, rng, batch_size, n_batches, draw)
     summary = {"batches": n_batches, "batch_size": batch_size,
-               "accuracy": correct / n_queries, "chance": 1.0 / batch_size}
+               "accuracy": sum(r["correct"] for r in records) / len(records),
+               "chance": 1.0 / batch_size}
     return ProbeReport("retrieval", summary, records)
 
 

@@ -11,6 +11,7 @@ binary PGM (P5) files plus a tab-separated manifest.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +37,12 @@ MIRROR_PAIRS = (
 )
 
 
+# the supported envelope of each jitter and appearance amplitude: [0, bound)
+_ENVELOPE = (("jitter_translate", 0.1), ("jitter_scale", 0.3), ("bg_jitter", 0.1),
+             ("gain_jitter", 0.5), ("field_amp", 0.5), ("level_jitter", 0.5))
+_RETIRED = ("weave_amp", "mosaic_contrast")
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
     side: int = 256
@@ -50,35 +57,22 @@ class PhantomSpec:
     bg_jitter: float = 0.05
     gain_jitter: float = 0.25
     field_amp: float = 0.12
-    # identity weave: a per-instance subset of oriented gratings at fixed
-    # cycles-per-pixel slots, multiplied into the whole image.  Stationary, so
-    # every crop of an instance carries the same signature.  Off by default:
-    # it adds crop-readable instance identity for retrieval experiments but
-    # degrades landmark-level feature quality.
+    # retired: only 0.0 is accepted (the identity weave is gone)
     weave_amp: float = 0.0
     # per-structure intensity levels drawn once per instance
     level_jitter: float = 0.25
-    # background mosaic: smooth random regions quantized to a per-instance set
-    # of brightness plateaus; plateau values survive resizing exactly, so the
-    # brightness distribution of any crop identifies the instance.  Off by
-    # default for the same reason as the weave.
+    # retired: only 0.0 is accepted (the background mosaic is gone)
     mosaic_contrast: float = 0.0
-    mosaic_levels: int = 5
-    mosaic_scale: float = 0.04   # blob smoothing sigma as a fraction of side
 
     def __post_init__(self):
         if self.side <= 0:
             raise ParameterError(f"side must be positive, got {self.side}")
-        if not 0 <= self.jitter_translate < 0.1 or not 0 <= self.jitter_scale < 0.3:
-            raise ParameterError("jitter amplitudes out of the supported envelope")
-        if not 0 <= self.bg_jitter < 0.1 or not 0 <= self.gain_jitter < 0.5 \
-                or not 0 <= self.field_amp < 0.5:
-            raise ParameterError("appearance amplitudes out of the supported envelope")
-        if not 0 <= self.weave_amp < 0.3 or not 0 <= self.level_jitter < 0.5:
-            raise ParameterError("weave/level amplitudes out of the supported envelope")
-        if not 0 <= self.mosaic_contrast < 0.35 or not 1 <= self.mosaic_levels <= 8 \
-                or not 0 < self.mosaic_scale < 0.2:
-            raise ParameterError("mosaic parameters out of the supported envelope")
+        for name, bound in _ENVELOPE:
+            if not 0 <= (value := getattr(self, name)) < bound:
+                raise ParameterError(f"{name} must be in [0, {bound}), got {value}")
+        for name in _RETIRED:
+            if (value := getattr(self, name)) != 0.0:
+                raise ParameterError(f"{name} is retired: only 0.0 is accepted, got {value}")
 
 
 @dataclass(frozen=True)
@@ -87,15 +81,6 @@ class Phantom:
     landmarks: dict[str, tuple[float, float]]
     instance_id: str
     seed: int
-
-
-# identity-weave parameters: oriented broadband noise.  Orientation survives
-# resizing (absolute spatial frequency does not), so the per-instance subset
-# of active orientations is readable from any crop at any view scale.
-_WEAVE_ORIENTS = 12       # number of orientation slots over [0, pi)
-_WEAVE_ACTIVE = 3         # active slots per instance
-_WEAVE_BAND = (0.05, 0.35)  # native band, cycles per pixel
-_WEAVE_HALFWIDTH = np.pi / 24
 
 
 def _soft_mask(dist: np.ndarray, width: float) -> np.ndarray:
@@ -199,40 +184,6 @@ def generate(rng: np.random.Generator, spec: PhantomSpec,
     img += 0.30 * level() * _soft_mask(dist, 1.5) * texture(2.0, 5.0)
     landmarks["disc_center"] = (dcx, dcy)
 
-    # multiply in the identity weave: per-instance subset of orientation slots,
-    # each carrying band-limited noise at that orientation
-    if spec.weave_amp > 0:
-        slots = rng.choice(_WEAVE_ORIENTS, size=_WEAVE_ACTIVE, replace=False)
-        gains = rng.uniform(0.8, 1.2, size=_WEAVE_ACTIVE)
-        fy = np.fft.fftfreq(s)[:, None]
-        fx = np.fft.fftfreq(s)[None, :]
-        radius = np.hypot(fx, fy)
-        angle = np.arctan2(fy * np.ones_like(fx), fx * np.ones_like(fy)) % np.pi
-        in_band = (radius > _WEAVE_BAND[0]) & (radius < _WEAVE_BAND[1])
-        weave = np.ones_like(img)
-        for slot, g in zip(slots, gains):
-            theta = slot * np.pi / _WEAVE_ORIENTS
-            d = np.abs(((angle - theta + np.pi / 2) % np.pi) - np.pi / 2)
-            spectrum = np.fft.fft2(rng.normal(size=(s, s)))
-            spectrum[~(in_band & (d < _WEAVE_HALFWIDTH))] = 0.0
-            noise = np.fft.ifft2(spectrum).real
-            weave += spec.weave_amp * g * noise / noise.std()
-        img *= weave
-
-    # add the background mosaic: a smoothed noise field quantized into
-    # equal-area regions, each assigned a per-instance brightness plateau
-    if spec.mosaic_contrast > 0 and spec.mosaic_levels > 1:
-        sigma = spec.mosaic_scale * s
-        mfy = np.fft.fftfreq(s)[:, None]
-        mfx = np.fft.fftfreq(s)[None, :]
-        spectrum = np.fft.fft2(rng.normal(size=(s, s)))
-        spectrum *= np.exp(-2.0 * np.pi ** 2 * sigma ** 2 * (mfx ** 2 + mfy ** 2))
-        blobs = np.fft.ifft2(spectrum).real
-        cuts = np.quantile(blobs, np.linspace(0, 1, spec.mosaic_levels + 1)[1:-1])
-        plateaus = rng.uniform(-spec.mosaic_contrast, spec.mosaic_contrast,
-                               size=spec.mosaic_levels)
-        img += plateaus[np.digitize(blobs, cuts)]
-
     # apply the instance-wide illumination field and gain
     if spec.field_amp > 0:
         img *= 1.0 + _grating(s, spec.field_amp, ffx, ffy, fpx, fpy)
@@ -293,9 +244,10 @@ MANIFEST_NAME = "manifest.tsv"
 _NUMERIC_COLUMNS = [f"{n}_{axis}" for n in LANDMARK_NAMES for axis in "xy"] + ["seed"]
 
 
-def build_manifest(directory, phantoms: list[Phantom]) -> Path:
+def build_manifest(directory, phantoms: Iterable[Phantom]) -> Path:
     """Write every image (a reused directory keeps no old pixels) plus the
-    manifest; returns the manifest path."""
+    manifest; returns the manifest path.  Each image is written as the
+    iterable yields it, so a generator keeps one image alive at a time."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = ["\t".join(["instance_id", "path", *_NUMERIC_COLUMNS])]
@@ -356,7 +308,8 @@ def instance_rng(master_seed: int, index: int) -> tuple[np.random.Generator, int
 def generate_dataset(directory, count: int, spec: PhantomSpec, master_seed: int) -> Path:
     """Generate `count` phantoms, write PGMs and the manifest; returns manifest path.
 
-    Keeps freed heap pages in the process for good (`heap.hold_freed_pages`):
+    Each PGM is written before the next phantom is generated, so one image is
+    alive at a time.  Keeps freed heap pages in the process for good (`heap.hold_freed_pages`):
     each full-image pass allocates a temporary above glibc's default mmap
     threshold.
     """
@@ -365,8 +318,6 @@ def generate_dataset(directory, count: int, spec: PhantomSpec, master_seed: int)
     if master_seed < 0:
         raise ParameterError(f"master_seed must be non-negative, got {master_seed}")
     heap.hold_freed_pages()
-    phantoms = []
-    for i in range(count):
-        rng, _ = instance_rng(master_seed, i)
-        phantoms.append(generate(rng, spec, instance_id=f"phantom{i:05d}", seed=i))
-    return build_manifest(directory, phantoms)
+    return build_manifest(directory, (
+        generate(instance_rng(master_seed, i)[0], spec, instance_id=f"phantom{i:05d}", seed=i)
+        for i in range(count)))

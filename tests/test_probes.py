@@ -230,9 +230,9 @@ def test_retrieval_summary_keys(probe_state, probe_phantoms):
 
 
 def test_retrieval_needs_enough_phantoms(probe_state, probe_phantoms):
-    with pytest.raises(ParameterError):
-        pb.retrieval_probe(probe_state, probe_phantoms[:5],
-                           np.random.default_rng(0), batch_size=32)
+    for probe in (pb.retrieval_probe, pb.decompositionality_probe):
+        with pytest.raises(ParameterError, match="need at least 32 phantoms, got 5"):
+            probe(probe_state, probe_phantoms[:5], np.random.default_rng(0), batch_size=32)
 
 
 def test_decompositionality_mechanics(probe_state, probe_phantoms):
@@ -352,3 +352,10 @@ def test_report_csv_roundtrip(probe_state, probe_phantoms, tmp_path):
     with open(su) as f:
         pairs = {r[0]: r[1] for r in csv.reader(f)}
     assert float(pairs["accuracy"]) == rep.summary["accuracy"]
+
+
+def test_report_without_samples_writes_an_empty_file(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("stale")
+    pb.ProbeReport("empty", {"accuracy": 0.0}).write_csv(path)
+    assert path.read_bytes() == b""

@@ -109,6 +109,26 @@ def test_spec_validation():
         PhantomSpec(side=64, jitter_translate=0.5)
 
 
+_SPEC_REFUSALS = [
+    ("jitter_translate", 0.1, "jitter_translate must be in [0, 0.1), got 0.1"),
+    ("jitter_scale", -0.01, "jitter_scale must be in [0, 0.3), got -0.01"),
+    ("bg_jitter", 0.2, "bg_jitter must be in [0, 0.1), got 0.2"),
+    ("gain_jitter", 0.5, "gain_jitter must be in [0, 0.5), got 0.5"),
+    ("field_amp", float("nan"), "field_amp must be in [0, 0.5), got nan"),
+    ("level_jitter", 0.6, "level_jitter must be in [0, 0.5), got 0.6"),
+    ("weave_amp", 0.1, "weave_amp is retired: only 0.0 is accepted, got 0.1"),
+    ("mosaic_contrast", 0.2, "mosaic_contrast is retired: only 0.0 is accepted, got 0.2"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", _SPEC_REFUSALS,
+                         ids=[field for field, _, _ in _SPEC_REFUSALS])
+def test_spec_refusal_names_field_and_value(field, value, message):
+    with pytest.raises(ParameterError) as exc:
+        PhantomSpec(side=64, **{field: value})
+    assert str(exc.value) == message
+
+
 def test_pgm_roundtrip(tmp_path):
     img = np.random.default_rng(3).random((32, 40))
     path = tmp_path / "x.pgm"
@@ -136,6 +156,14 @@ def test_pgm_format_errors(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_image(trunc)
     assert "byte" in str(exc.value)
+    for name, content, message in (
+            ("header.pgm", b"P5\nxx 2\n255\n" + bytes(4), "malformed header near byte 2"),
+            ("maxval.pgm", b"P5\n2 2\n4095\n" + bytes(8), "unsupported maxval 4095")):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(FormatError) as exc:
+            read_image(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -185,6 +213,39 @@ def test_manifest_bad_number_names_line_and_column(tmp_path, column, value):
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=rf"manifest\.tsv:3: column '{column}' .*'{value}'"):
         load_manifest(manifest)
+
+
+def test_manifest_wrong_column_count_names_file_and_line(tmp_path):
+    phantoms = [generate(np.random.default_rng(i), PhantomSpec(side=32), instance_id=f"p{i}",
+                         seed=i) for i in range(2)]
+    manifest = build_manifest(tmp_path, phantoms)
+    lines = manifest.read_text().splitlines()
+    lines[2] = lines[2].rsplit("\t", 1)[0]
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as exc:
+        load_manifest(manifest)
+    assert str(exc.value) == f"{manifest}:3: wrong column count {2 + 2 * len(LANDMARK_NAMES)}"
+
+
+def test_generate_dataset_writes_each_image_before_the_next_phantom(tmp_path, monkeypatch):
+    """One image is alive at a time: every generate call is followed by the
+    write of its image, not by the next generate."""
+    calls = []
+    generate_ = sg.generate
+    write_image_ = sg.write_image
+
+    def spy_generate(*args, **kwargs):
+        calls.append("generate")
+        return generate_(*args, **kwargs)
+
+    def spy_write_image(*args, **kwargs):
+        calls.append("write_image")
+        return write_image_(*args, **kwargs)
+
+    monkeypatch.setattr(sg, "generate", spy_generate)
+    monkeypatch.setattr(sg, "write_image", spy_write_image)
+    generate_dataset(tmp_path / "ds", 3, PhantomSpec(side=32), master_seed=0)
+    assert calls == ["generate", "write_image"] * 3
 
 
 def test_regenerating_into_a_used_directory_writes_new_images(tmp_path):
