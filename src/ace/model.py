@@ -72,19 +72,17 @@ def _param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{b}.mix.w"] = (n, n)
         shapes[f"{b}.norm2.g"] = (k,)
         shapes[f"{b}.norm2.b"] = (k,)
-        shapes[f"{b}.mlp.w1"] = (k, h)
-        shapes[f"{b}.mlp.b1"] = (h,)
-        shapes[f"{b}.mlp.w2"] = (h, k)
-        shapes[f"{b}.mlp.b2"] = (k,)
-    shapes.update({
-        "comp.w1": (4 * k, 4 * k), "comp.b1": (4 * k,),
-        "comp.w2": (4 * k, k), "comp.b2": (k,),
-        "decomp.w1": (k, 4 * k), "decomp.b1": (4 * k,),
-        "decomp.w2": (4 * k, 4 * k), "decomp.b2": (4 * k,),
-        "ghead.w1": (k, h), "ghead.b1": (h,),
-        "ghead.w2": (h, k), "ghead.b2": (k,),
-    })
+        shapes.update(_mlp_shapes(f"{b}.mlp", k, h, k))
+    shapes.update(_mlp_shapes("comp", 4 * k, 4 * k, k))
+    shapes.update(_mlp_shapes("decomp", k, 4 * k, 4 * k))
+    shapes.update(_mlp_shapes("ghead", k, h, k))
     return shapes
+
+
+def _mlp_shapes(name: str, d_in: int, hidden: int, d_out: int) -> dict[str, tuple[int, ...]]:
+    """The four parameters of `_mlp(params, name, x)`, in init order."""
+    return {f"{name}.w1": (d_in, hidden), f"{name}.b1": (hidden,),
+            f"{name}.w2": (hidden, d_out), f"{name}.b2": (d_out,)}
 
 
 def init(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderState:
@@ -129,10 +127,14 @@ def encode(cfg: EncoderConfig, params: dict[str, Tensor], images: np.ndarray) ->
         y = tz.matmul(params[f"{b}.mix.w"], y)
         x = tz.add(x, y)
         y = tz.layer_norm(x, params[f"{b}.norm2.g"], params[f"{b}.norm2.b"])
-        y = tz.silu(tz.linear(y, params[f"{b}.mlp.w1"], params[f"{b}.mlp.b1"]))
-        y = tz.linear(y, params[f"{b}.mlp.w2"], params[f"{b}.mlp.b2"])
-        x = tz.add(x, y)
+        x = tz.add(x, _mlp(params, f"{b}.mlp", y))
     return x
+
+
+def _mlp(params: dict[str, Tensor], name: str, x: Tensor) -> Tensor:
+    """linear -> SiLU -> linear on `{name}.w1/.b1/.w2/.b2`: a block's MLP or a head."""
+    y = tz.silu(tz.linear(x, params[f"{name}.w1"], params[f"{name}.b1"]))
+    return tz.linear(y, params[f"{name}.w2"], params[f"{name}.b2"])
 
 
 def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor],
@@ -173,8 +175,7 @@ def compose_head(params: dict[str, Tensor], tokens: Tensor) -> Tensor:
     Input N x K with T x T layout; output (N/4) x K with (T/2) x (T/2) layout.
     A leading batch axis passes through.
     """
-    y = tz.silu(tz.linear(group_blocks(tokens), params["comp.w1"], params["comp.b1"]))
-    return tz.linear(y, params["comp.w2"], params["comp.b2"])
+    return _mlp(params, "comp", group_blocks(tokens))
 
 
 def decompose_head(params: dict[str, Tensor], tokens: Tensor) -> Tensor:
@@ -183,16 +184,14 @@ def decompose_head(params: dict[str, Tensor], tokens: Tensor) -> Tensor:
     Input N x K with T x T layout; output 4N x K with (2T) x (2T) layout.
     A leading batch axis passes through.
     """
-    y = tz.silu(tz.linear(tokens, params["decomp.w1"], params["decomp.b1"]))
-    return ungroup_blocks(tz.linear(y, params["decomp.w2"], params["decomp.b2"]))
+    return ungroup_blocks(_mlp(params, "decomp", tokens))
 
 
 def global_head(params: dict[str, Tensor], pooled: Tensor) -> Tensor:
     """Projection for the pooled global branch, keeping it off the token dims
     the positional matching losses compete for.  (R, K) -> (R, K), one pooled
     embedding per row."""
-    y = tz.silu(tz.linear(pooled, params["ghead.w1"], params["ghead.b1"]))
-    return tz.linear(y, params["ghead.w2"], params["ghead.b2"])
+    return _mlp(params, "ghead", pooled)
 
 
 def ema_lambda(step: int, total_steps: int) -> float:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import heap
+from . import blas, heap
 from .cropgrid import box_mean, resize
 from .errors import ParameterError
 from .model import EncoderState, encode_batch
@@ -52,6 +52,7 @@ class ProbeReport:
                 writer.writerow([k, v])
 
 
+@blas.one_thread()
 def embed_crops(state: EncoderState, crops) -> np.ndarray:
     """Shared feature path: resize each crop to H0, encode, mean-pool tokens -> (B, K).
 
@@ -64,8 +65,9 @@ def embed_crops(state: EncoderState, crops) -> np.ndarray:
     multiple of H0 arrive that way, box-pooled in `cropgrid.box_mean`, as
     H0-side views.  Crops are resized in float64 and cast to float32 as the
     chunk is stacked, so a pooled view and a resized window give the same
-    bits; the features are float32.  The first call keeps freed heap pages
-    in the process for good (`heap.hold_freed_pages`)."""
+    bits; the features are float32.  The call runs on one OpenBLAS thread,
+    as training does, and restores the count it found.  The first call keeps
+    freed heap pages in the process for good (`heap.hold_freed_pages`)."""
     heap.hold_freed_pages()
     cfg = state.config
     feats = [np.empty((0, cfg.K), DTYPE)]  # no crops give no rows

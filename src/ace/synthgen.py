@@ -228,12 +228,13 @@ def read_image(path) -> np.ndarray:
     pos += 1  # single whitespace byte after maxval
     itemsize = 1 if maxval == 255 else 2
     need = w * h * itemsize
-    payload = raw[pos:pos + need]
-    if len(payload) != need:
-        raise FormatError(
-            f"{path}: truncated payload at byte {pos + len(payload)}, need {need} bytes")
+    if len(raw) < pos + need:
+        raise FormatError(f"{path}: truncated payload at byte {len(raw)}, need {need} bytes")
+    if len(raw) > pos + need:  # a corrupted width or height would read as another image
+        raise FormatError(f"{path}: {len(raw) - pos - need} byte(s) past the payload, "
+                          f"from byte {pos + need}")
     dtype = np.uint8 if maxval == 255 else ">u2"
-    arr = np.frombuffer(payload, dtype=dtype).reshape(h, w).astype(float)
+    arr = np.frombuffer(raw, dtype=dtype, offset=pos).reshape(h, w).astype(float)
     return arr / maxval
 
 

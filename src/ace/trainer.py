@@ -181,14 +181,6 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 # the training step
 
 
-def _target_stack(pairs: list[cropgrid.CropPair], spec: cropgrid.GridSpec, role: str,
-                  cfg: RunConfig, dtype) -> np.ndarray:
-    """The pairs' cached float64 targets, stacked in the crops' dtype."""
-    return np.stack([objective.build_target(p, spec, role, k=cfg.kernel_size,
-                                            sigma=cfg.kernel_sigma) for p in pairs],
-                    dtype=dtype)
-
-
 def _batch_losses(state: model.EncoderState, batch: list[tuple[np.ndarray, cropgrid.CropPair]],
                   cfg: RunConfig, spec: cropgrid.GridSpec, rng: np.random.Generator):
     """Forward pass and the three loss terms for a batch of B crop pairs.
@@ -214,17 +206,20 @@ def _batch_losses(state: model.EncoderState, batch: list[tuple[np.ndarray, cropg
     s = model.encode(enc, state.student, images)
     t = model.encode_batch(enc, state.teacher, images)
 
-    # composition: C1 -> student -> composer vs C2 -> teacher
-    z_comp = objective.matching_logits(
-        Tensor(t[b:]), model.compose_head(state.student, tz.slice_batch(s, 0, b)))
-    loss_comp = objective.matching_loss_logits(
-        z_comp, _target_stack(pairs, spec, "composition", cfg, images.dtype), cfg.alpha_comp)
-
-    # decomposition: C2 -> student -> decomposer vs C1 -> teacher
-    z_dec = objective.matching_logits(
-        Tensor(t[:b]), model.decompose_head(state.student, tz.slice_batch(s, b, 2 * b)))
-    loss_decomp = objective.matching_loss_logits(
-        z_dec, _target_stack(pairs, spec, "decomposition", cfg, images.dtype), cfg.alpha_decomp)
+    # composition: C1 -> student -> composer vs C2 -> teacher; decomposition:
+    # C2 -> student -> decomposer vs C1 -> teacher.  Each role's targets are
+    # the pairs' cached float64 ones, stacked in the crops' dtype.
+    matching = []
+    for role, head, (lo, hi), teacher, alpha in (
+            ("composition", model.compose_head, (0, b), t[b:], cfg.alpha_comp),
+            ("decomposition", model.decompose_head, (b, 2 * b), t[:b], cfg.alpha_decomp)):
+        z = objective.matching_logits(Tensor(teacher),
+                                      head(state.student, tz.slice_batch(s, lo, hi)))
+        target = np.stack([objective.build_target(p, spec, role, k=cfg.kernel_size,
+                                                  sigma=cfg.kernel_sigma) for p in pairs],
+                          dtype=images.dtype)
+        matching.append(objective.matching_loss_logits(z, target, alpha))
+    loss_comp, loss_decomp = matching
 
     # global: each crop's pooled overlap embedding against the teacher's for
     # the other crop of its pair (both orderings), through the projection heads
@@ -415,4 +410,6 @@ def train_loop(cfg: RunConfig, manifest_path, out_dir, resume_from=None,
                 save_checkpoint(ckpt_path, state, opt, rng, cfg)
             if progress is not None:
                 progress(epoch, state)
+    if start_epoch >= cfg.epochs:  # a finished run resumed: no epoch saved it here
+        save_checkpoint(ckpt_path, state, opt, rng, cfg)
     return ckpt_path

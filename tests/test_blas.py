@@ -12,7 +12,7 @@ import pytest
 import ace
 import ace.model as model
 import ace.trainer as tr
-from ace import blas
+from ace import blas, probes
 from ace.config import RunConfig, apply_overrides
 from ace.errors import AceError
 from ace.synthgen import build_manifest, generate, generate_dataset
@@ -153,3 +153,20 @@ def test_lookup_is_cached(fresh_lookup):
     first = blas.thread_functions()
     assert blas.thread_functions() is first
     assert calls == [1]
+
+
+def test_embed_crops_runs_on_one_thread_and_restores_the_count(monkeypatch, openblas,
+                                                               tiny_state):
+    get, _ = openblas
+    seen = []
+    real_encode = probes.encode_batch
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(probes, "encode_batch", spy)
+    feats = probes.embed_crops(tiny_state, [np.zeros((24, 24)), np.ones((16, 16))])
+    assert feats.shape == (2, tiny_state.config.K)
+    assert seen == [1]
+    assert get() == 2

@@ -35,6 +35,23 @@ def test_init_deterministic_and_teacher_copies(tiny_cfg):
     assert np.all(a.center == 0)
 
 
+def test_param_table_order_and_shapes():
+    # the order fixes init's RNG draws and the checkpoint's blob order
+    def block(b):
+        return [(f"{b}.norm1.g", (32,)), (f"{b}.norm1.b", (32,)), (f"{b}.mix.w", (64, 64)),
+                (f"{b}.norm2.g", (32,)), (f"{b}.norm2.b", (32,)), (f"{b}.mlp.w1", (32, 64)),
+                (f"{b}.mlp.b1", (64,)), (f"{b}.mlp.w2", (64, 32)), (f"{b}.mlp.b2", (32,))]
+
+    assert list(model._param_shapes(EncoderConfig()).items()) == [
+        ("embed.w", (64, 32)), ("embed.b", (32,)), *block("block0"), *block("block1"),
+        ("comp.w1", (128, 128)), ("comp.b1", (128,)), ("comp.w2", (128, 32)),
+        ("comp.b2", (32,)),
+        ("decomp.w1", (32, 128)), ("decomp.b1", (128,)), ("decomp.w2", (128, 128)),
+        ("decomp.b2", (128,)),
+        ("ghead.w1", (32, 64)), ("ghead.b1", (64,)), ("ghead.w2", (64, 32)),
+        ("ghead.b2", (32,))]
+
+
 def test_encode_token_map_shape(tiny_state):
     cfg = tiny_state.config
     img = np.random.default_rng(1).random((cfg.H0, cfg.H0))

@@ -158,7 +158,11 @@ def test_pgm_format_errors(tmp_path):
     assert "byte" in str(exc.value)
     for name, content, message in (
             ("header.pgm", b"P5\nxx 2\n255\n" + bytes(4), "malformed header near byte 2"),
-            ("maxval.pgm", b"P5\n2 2\n4095\n" + bytes(8), "unsupported maxval 4095")):
+            ("maxval.pgm", b"P5\n2 2\n4095\n" + bytes(8), "unsupported maxval 4095"),
+            ("trailing.pgm", b"P5\n2 2\n255\n" + bytes(5), "1 byte(s) past the payload, "
+             "from byte 15"),
+            ("narrowed.pgm", b"P5\n10 16\n65535\n" + bytes(16 * 16 * 2),
+             "192 byte(s) past the payload, from byte 335")):
         path = tmp_path / name
         path.write_bytes(content)
         with pytest.raises(FormatError) as exc:

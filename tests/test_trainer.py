@@ -531,6 +531,17 @@ def test_resume_refuses_a_different_config(tmp_path):
                resume_from=ckpt)
 
 
+def test_resuming_a_finished_run_into_a_fresh_directory_writes_its_checkpoint(tmp_path):
+    # no epoch is left to run, yet the returned path must name the final state
+    manifest = _tiny_dataset(tmp_path)
+    cfg = _tiny_run_cfg(epochs=2, warmup_epochs=0)
+    done = train_loop(cfg, manifest, tmp_path / "run1")
+    again = train_loop(cfg, manifest, tmp_path / "run2", resume_from=done)
+    assert again == tmp_path / "run2" / tr.CHECKPOINT_NAME
+    assert again.read_bytes() == done.read_bytes()
+    assert (tmp_path / "run2" / tr.METRICS_NAME).read_bytes() == b""
+
+
 # a checkpoint's run state with a value of the wrong type: what the error
 # names, and the edit of the header's extra
 _BAD_RUN_STATE = {
