@@ -63,18 +63,18 @@ def embed_crops(state: EncoderState, crops) -> np.ndarray:
     crops would take 4 MiB.  A row does not depend on the chunking.  A crop
     already H0 x H0 is stacked as it is; correspondence key windows at a
     multiple of H0 arrive that way, box-pooled in `cropgrid.box_mean`, as
-    H0-side views.  Crops are resized in float64 and cast to float32 as the
-    chunk is stacked, so a pooled view and a resized window give the same
-    bits; the features are float32.  The call runs on one OpenBLAS thread,
-    as training does, and restores the count it found.  The first call keeps
-    freed heap pages in the process for good (`heap.hold_freed_pages`)."""
+    H0-side views.  Each crop is resized in its own dtype, float32 for a
+    loaded phantom, and the chunk is stacked in float32, so a pooled view and
+    a resized window give the same bits and no crop gets a float64 copy; the
+    features are float32.  The call runs on one OpenBLAS thread, as training
+    does, and restores the count it found.  The first call keeps freed heap
+    pages in the process for good (`heap.hold_freed_pages`)."""
     heap.hold_freed_pages()
     cfg = state.config
     feats = [np.empty((0, cfg.K), DTYPE)]  # no crops give no rows
     for i in range(0, len(crops), _ENCODE_CHUNK):
-        chunk = [np.asarray(c, dtype=float) for c in crops[i:i + _ENCODE_CHUNK]]
         resized = np.stack([c if c.shape == (cfg.H0, cfg.H0) else resize(c, cfg.H0)
-                            for c in chunk], dtype=DTYPE)
+                            for c in crops[i:i + _ENCODE_CHUNK]], dtype=DTYPE)
         feats.append(encode_batch(cfg, state.student, resized).mean(axis=1))
     return np.concatenate(feats, axis=0)
 
@@ -93,11 +93,12 @@ def _cosine_matrix(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def _crop_centered(image: np.ndarray, cx: float, cy: float, side: int) -> np.ndarray:
-    """Square crop centered at (cx, cy) with zero padding past the borders."""
+    """Square crop centered at (cx, cy) with zero padding past the borders,
+    in the image's dtype."""
     h, w = image.shape
     half = side // 2
     x0, y0 = int(round(cx)) - half, int(round(cy)) - half
-    out = np.zeros((side, side))
+    out = np.zeros((side, side), dtype=image.dtype)
     sx0, sy0 = max(0, x0), max(0, y0)
     sx1, sy1 = min(w, x0 + side), min(h, y0 + side)
     if sx1 > sx0 and sy1 > sy0:
@@ -342,8 +343,8 @@ def landmark_separability(state: EncoderState, phantoms: list[Phantom],
     if patch < 1:
         raise ParameterError(f"patch_frac {patch_frac} leaves a patch side of {patch} "
                              f"on a {side}-pixel image")
-    # cut one encode chunk of crops at a time, so the float64 crops of every
-    # site are never held at once
+    # cut one encode chunk of crops at a time, so the zero-padded crops of
+    # every site are never held at once
     sites = [(ph.image, *ph.landmarks[name]) for ph in phantoms for name in names]
     feats = np.concatenate([
         embed_crops(state, [_crop_centered(image, x, y, patch)

@@ -210,19 +210,27 @@ def write_image(path, image: np.ndarray) -> None:
 
 
 def read_image(path) -> np.ndarray:
-    """Read binary PGM (P5), 8- or 16-bit, into floats in [0, 1]."""
+    """Read binary PGM (P5), 8- or 16-bit, into one float32 array in [0, 1].
+
+    The codes are cast to float32 and divided in place, with no float64
+    temporary; every pixel is the float64 quotient code / maxval rounded to
+    float32 (true of all 256 8-bit and all 65,536 16-bit codes)."""
     raw = Path(path).read_bytes()
     if raw[:2] != b"P5":
         raise FormatError(f"{path}: not a P5 PGM (offset 0)")
     pos = 2
-    fields = []
+    fields, starts = [], []
     while len(fields) < 3:
         m = re.compile(rb"\s*(?:#[^\n]*\n)*\s*(\d+)").match(raw, pos)
         if not m:
             raise FormatError(f"{path}: malformed header near byte {pos}")
         fields.append(int(m.group(1)))
+        starts.append(m.start(1))
         pos = m.end()
     w, h, maxval = fields
+    for name, value, start in (("width", w, starts[0]), ("height", h, starts[1])):
+        if value < 1:  # an empty image would load and pass on as a phantom
+            raise FormatError(f"{path}: {name} {value} is below 1 (offset {start})")
     if maxval not in (255, 65535):
         raise FormatError(f"{path}: unsupported maxval {maxval} (offset {pos})")
     pos += 1  # single whitespace byte after maxval
@@ -234,8 +242,9 @@ def read_image(path) -> np.ndarray:
         raise FormatError(f"{path}: {len(raw) - pos - need} byte(s) past the payload, "
                           f"from byte {pos + need}")
     dtype = np.uint8 if maxval == 255 else ">u2"
-    arr = np.frombuffer(raw, dtype=dtype, offset=pos).reshape(h, w).astype(float)
-    return arr / maxval
+    arr = np.frombuffer(raw, dtype=dtype, offset=pos).reshape(h, w).astype(np.float32)
+    arr /= np.float32(maxval)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +277,8 @@ def build_manifest(directory, phantoms: Iterable[Phantom]) -> Path:
 
 
 def load_manifest(manifest_path) -> list[Phantom]:
+    """Read the manifest and every image it names; each image is `read_image`'s
+    float32 array."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     lines = manifest_path.read_text(encoding="utf-8").splitlines()

@@ -360,8 +360,7 @@ def train_loop(cfg: RunConfig, manifest_path, out_dir, resume_from=None,
     cfg.check()
     heap.hold_freed_pages()
     spec = cfg.grid_spec()
-    phantoms = load_manifest(manifest_path)
-    images = [p.image.astype(tz.DTYPE) for p in phantoms]  # the run's one cast
+    images = [p.image for p in load_manifest(manifest_path)]  # float32, as read
     if cfg.batch_size > len(images):
         # a step would see fewer pairs than the batch size the checkpoint records
         raise AceError(f"batch_size {cfg.batch_size} exceeds the {len(images)} phantoms "

@@ -37,6 +37,7 @@ def test_crop_centered_padding():
     assert np.all(out[3:, 3:] == 1)
     interior = pb._crop_centered(img, 5, 5, 4)
     assert np.all(interior == 1)
+    assert pb._crop_centered(img.astype(np.float32), 0.0, 0.0, 6).dtype == np.float32
 
 
 def test_embed_crops_shape_and_determinism(probe_state, probe_phantoms):
@@ -72,10 +73,48 @@ def test_chunk_size_never_changes_a_feature(chunk, probe_state, probe_phantoms, 
     assert np.array_equal(pb.embed_crops(probe_state, crops), expected)
 
 
+def test_float32_crops_get_no_float64_copy(probe_state, monkeypatch):
+    """float32 crops are resized in float32 and reach encode_batch as a
+    float32 chunk: no float64 copy of a crop is made, so the allocation peak
+    stays below the size of one (448 x 448 float64: 1.6 MB), where float64
+    copies of the three crops of the chunk would take 3.6 MB."""
+    image = np.random.default_rng(0).random((512, 512)).astype(np.float32)
+    # a box downscale by 14, a bilinear resize and a box downscale by 7, all views
+    crops = [image[:448, :448], image[7:447, 9:449], image[64:288, 32:256]]
+    side = crops[0].shape[0]
+    chunks = []
+
+    def spy(cfg, params, x):
+        chunks.append(x.dtype)
+        return encode(cfg, params, x)
+
+    encode = pb.encode_batch
+    monkeypatch.setattr(pb, "encode_batch", spy)
+    pb.embed_crops(probe_state, crops)  # warm the resize plans
+    tracemalloc.start()
+    try:
+        feats = pb.embed_crops(probe_state, crops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunks == [np.float32, np.float32]
+    assert feats.dtype == np.float32
+    assert peak < side * side * 8, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_pooled_float32_key_dictionary_equals_view_list(probe_state):
+    """The box-pooled key windows of a float32 image, as loaded phantoms are,
+    equal resizing each float32 window, bit for bit."""
+    image = generate(np.random.default_rng(0), PhantomSpec(side=256)).image.astype(np.float32)
+    feats, _ = pb._key_dictionary(probe_state, image, 192, 8)
+    assert np.array_equal(feats, _view_list_keys(probe_state, image, 192, 8))
+
+
 def test_separability_holds_one_chunk_of_crops(probe_state):
-    """landmark_separability cuts its zero-padded float64 crops one encode
-    chunk at a time: at 40 phantoms of 256 and patch_frac 0.875 all 360 crops
-    of 224 pixels take 145 MB, one chunk of 32 takes 12.8 MB, and the
+    """landmark_separability cuts its zero-padded crops, in the phantoms'
+    dtype, one encode chunk at a time: at 40 generated (float64) phantoms of
+    256 and patch_frac 0.875 all 360 crops of 224 pixels take 145 MB (72 MB
+    for loaded float32 phantoms), one chunk of 32 takes 12.8 MB, and the
     allocation peak stays below 30 MB."""
     phantoms = [generate(instance_rng(17, i)[0], PhantomSpec(side=256), instance_id=f"v{i}")
                 for i in range(40)]

@@ -129,21 +129,38 @@ def test_spec_refusal_names_field_and_value(field, value, message):
     assert str(exc.value) == message
 
 
+def _assert_decoded_exactly(path, source, back):
+    """The 16-bit codes stored in the file are within half a step of the
+    source, and the decoded image is each code's float64 quotient rounded
+    to float32."""
+    q = np.frombuffer(path.read_bytes()[-2 * source.size:], dtype=">u2").reshape(source.shape)
+    assert np.max(np.abs(q / 65535 - source)) <= 0.5 / 65535 + 1e-12
+    assert back.dtype == np.float32
+    assert np.array_equal(back, (q / 65535).astype(np.float32))
+    return q
+
+
 def test_pgm_roundtrip(tmp_path):
-    img = np.random.default_rng(3).random((32, 40))
+    # every 16-bit code once, each source value off its code by under half a step
+    rng = np.random.default_rng(3)
+    codes = rng.permutation(65536)
+    img = np.clip((codes + rng.uniform(-0.49, 0.49, codes.size)) / 65535, 0.0, 1.0)
+    img = img.reshape(128, 512)
     path = tmp_path / "x.pgm"
     write_image(path, img)
     back = read_image(path)
     assert back.shape == img.shape
-    assert np.max(np.abs(back - img)) <= 0.5 / 65535 + 1e-12
+    q = _assert_decoded_exactly(path, img, back)
+    assert np.array_equal(q.ravel(), codes)
 
 
 def test_pgm_reads_8bit(tmp_path):
     path = tmp_path / "x8.pgm"
-    data = np.arange(6, dtype=np.uint8).reshape(2, 3)
-    path.write_bytes(b"P5\n3 2\n255\n" + data.tobytes())
+    data = np.arange(256, dtype=np.uint8).reshape(8, 32)
+    path.write_bytes(b"P5\n32 8\n255\n" + data.tobytes())
     img = read_image(path)
-    assert np.allclose(img, data / 255.0)
+    assert img.dtype == np.float32
+    assert np.array_equal(img, (data / 255).astype(np.float32))
 
 
 def test_pgm_format_errors(tmp_path):
@@ -162,7 +179,10 @@ def test_pgm_format_errors(tmp_path):
             ("trailing.pgm", b"P5\n2 2\n255\n" + bytes(5), "1 byte(s) past the payload, "
              "from byte 15"),
             ("narrowed.pgm", b"P5\n10 16\n65535\n" + bytes(16 * 16 * 2),
-             "192 byte(s) past the payload, from byte 335")):
+             "192 byte(s) past the payload, from byte 335"),
+            ("no_width.pgm", b"P5\n0 5\n65535\n", "width 0 is below 1 (offset 3)"),
+            ("no_height.pgm", b"P5\n# empty\n4 00\n255\n", "height 0 is below 1 (offset 13)"),
+            ("no_pixels.pgm", b"P5\n0 0\n255\n", "width 0 is below 1 (offset 3)")):
         path = tmp_path / name
         path.write_bytes(content)
         with pytest.raises(FormatError) as exc:
@@ -182,7 +202,7 @@ def test_manifest_roundtrip(tmp_path):
         assert back.seed == orig.seed
         for name in LANDMARK_NAMES:
             assert back.landmarks[name] == orig.landmarks[name]  # repr round trip
-        assert np.max(np.abs(back.image - orig.image)) <= 0.5 / 65535 + 1e-12
+        _assert_decoded_exactly(tmp_path / f"{orig.instance_id}.pgm", orig.image, back.image)
 
 
 def test_manifest_missing_file_names_record(tmp_path):

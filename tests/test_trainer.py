@@ -387,6 +387,30 @@ def test_mismatched_image_side_raises(tmp_path):
     assert "grid side" in str(exc.value)
 
 
+def test_train_loop_trains_on_the_loaded_pixels(tmp_path, monkeypatch):
+    """Every batch image is the float32 array load_manifest returned, not a
+    copy of it: the run holds one copy of the pixels."""
+    loaded, seen = [], []
+
+    def load_spy(path):
+        loaded.extend(load_manifest(path))
+        return loaded
+
+    def step_spy(state, opt, batch, *args):
+        seen.extend(image for image, _ in batch)
+        return real_step(state, opt, batch, *args)
+
+    real_step = tr.train_step
+    monkeypatch.setattr(tr, "load_manifest", load_spy)
+    monkeypatch.setattr(tr, "train_step", step_spy)
+    cfg = _tiny_run_cfg(epochs=1, warmup_epochs=0)
+    train_loop(cfg, _tiny_dataset(tmp_path), tmp_path / "run")
+    assert len(seen) == cfg.phantom_count
+    assert all(p.image.dtype == np.float32 for p in loaded)
+    for image in seen:
+        assert any(np.shares_memory(image, p.image) for p in loaded)
+
+
 def _step_inputs(tmp_path, batch_size):
     cfg = _tiny_run_cfg(aug_blur=0.5)
     spec = cfg.grid_spec()
@@ -465,6 +489,7 @@ def test_batch_losses_equal_mean_of_single_pairs(tmp_path):
     centering statistic and every parameter gradient.  The batching logic
     does not depend on the dtype, so it is checked in float64."""
     cfg, spec, batch = _step_inputs(tmp_path, 4)
+    batch = [(image.astype(np.float64), pair) for image, pair in batch]
     state = float64_state(init(cfg.encoder_config(), np.random.default_rng(0)))
     state.center = np.random.default_rng(1).normal(size=cfg.embed_dim)
     _batch_matches_single_pairs(cfg, spec, batch, state, rtol=1e-12)
