@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .cropgrid import GridSpec
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, read_utf8
 from .model import EncoderConfig
 from .synthgen import PhantomSpec
 
@@ -145,7 +145,7 @@ def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
 def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_utf8(path, ConfigError)
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the UTF-8 text reader that
+names the file at fault."""
+
+from pathlib import Path
 
 
 class AceError(Exception):
@@ -35,3 +38,15 @@ class FormatError(AceError, ValueError):
 
 class ConfigError(AceError, ValueError):
     """A config file contains unknown keys or invalid values."""
+
+
+def read_utf8(path, error: type[AceError]) -> str:
+    """The text of the file at `path`.  Bytes that are not UTF-8 raise `error`
+    naming the file, the line and the byte offset of the first bad byte."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 at byte {exc.start} "
+                    f"({raw[exc.start:exc.end]!r})") from None

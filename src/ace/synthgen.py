@@ -10,15 +10,19 @@ binary PGM (P5) files plus a tab-separated manifest.
 
 from __future__ import annotations
 
+import math
+import os
 import re
+from collections import deque
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import heap
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, read_utf8
 
 LANDMARK_NAMES = (
     "left_lobe_center", "right_lobe_center",
@@ -84,8 +88,14 @@ class Phantom:
 
 
 def _soft_mask(dist: np.ndarray, width: float) -> np.ndarray:
-    # smooth 1 inside (dist < 0), 0 outside, logistic edge of the given width
-    return 1.0 / (1.0 + np.exp(np.clip(dist / width, -40, 40)))
+    """Smooth 1 inside (dist < 0), 0 outside, logistic edge of the given width.
+
+    Overwrites `dist` with the mask and returns it."""
+    dist /= width
+    np.clip(dist, -40, 40, out=dist)
+    np.exp(dist, out=dist)
+    dist += 1.0
+    return np.divide(1.0, dist, out=dist)
 
 
 def _pixel_axes(s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,18 +108,28 @@ def _pixel_axes(s: int) -> tuple[np.ndarray, np.ndarray]:
     return v[:, None], v[None, :]
 
 
-def _grating(s: int, amp: float, fx: float, fy: float, px: float, py: float) -> np.ndarray:
-    """amp * sin(2 pi fx x / s + px) * sin(2 pi fy y / s + py) on the s x s pixel grid."""
+def _grating(s: int, amp: float, fx: float, fy: float, px: float, py: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """amp * sin(2 pi fx x / s + px) * sin(2 pi fy y / s + py) on the s x s pixel grid,
+    written to `out` when it is given."""
     yy, xx = _pixel_axes(s)
-    return amp * np.sin(2 * np.pi * fx * xx / s + px) * np.sin(2 * np.pi * fy * yy / s + py)
+    return np.multiply(amp * np.sin(2 * np.pi * fx * xx / s + px),
+                       np.sin(2 * np.pi * fy * yy / s + py), out=out)
 
 
 def generate(rng: np.random.Generator, spec: PhantomSpec,
              instance_id: str = "phantom", seed: int = 0) -> Phantom:
-    """Render one phantom; deterministic given the generator state."""
+    """Render one phantom; deterministic given the generator state.
+
+    Rendered in place: every full-image pass writes into the image, a lobe
+    mask, or one of two scratch buffers (work and texture), so no pass
+    allocates a temporary.  Each pixel is the same float64 expression,
+    evaluated in the same order, as the plain array arithmetic
+    `img += 0.34 * level * mask * texture`, and so on."""
     s = spec.side
     cx = (s - 1) / 2.0
     yy, xx = _pixel_axes(s)
+    work, tex = np.empty((s, s)), np.empty((s, s))
 
     def jitter():
         dx = rng.uniform(-spec.jitter_translate, spec.jitter_translate) * s
@@ -118,11 +138,14 @@ def generate(rng: np.random.Generator, spec: PhantomSpec,
         return dx, dy, sc
 
     def texture(freq_lo=3.0, freq_hi=7.0):
+        # 1 + a random grating, in the texture buffer
         fx = rng.uniform(freq_lo, freq_hi)
         fy = rng.uniform(freq_lo, freq_hi)
         px = rng.uniform(0, 2 * np.pi)
         py = rng.uniform(0, 2 * np.pi)
-        return 1.0 + _grating(s, spec.texture_amp, fx, fy, px, py)
+        grating = _grating(s, spec.texture_amp, fx, fy, px, py, out=tex)
+        grating += 1.0
+        return grating
 
     # instance-wide appearance parameters, drawn before any structure so the
     # per-structure stream stays aligned across spec variants
@@ -147,10 +170,14 @@ def generate(rng: np.random.Generator, spec: PhantomSpec,
         dx, dy, sc = jitter()
         ecx, ecy = cx + sign * lobe_off + dx, lobe_cy + dy
         ax, ay = lobe_ax * sc, lobe_ay * sc
-        dist = np.sqrt(((xx - ecx) / ax) ** 2 + ((yy - ecy) / ay) ** 2) - 1.0
-        mask = _soft_mask(dist * min(ax, ay), 1.5)
-        img += 0.34 * level() * mask * texture()
-        lobe_masks[name] = mask
+        mask = ((xx - ecx) / ax) ** 2 + ((yy - ecy) / ay) ** 2  # the mask's own buffer
+        np.sqrt(mask, out=mask)
+        mask -= 1.0
+        mask *= min(ax, ay)
+        lobe_masks[name] = _soft_mask(mask, 1.5)
+        np.multiply(mask, 0.34 * level(), out=work)
+        work *= texture()
+        img += work
         landmarks[f"{name}_lobe_center"] = (ecx, ecy)
         landmarks[f"{name}_lobe_apex"] = (ecx, ecy - ay)
 
@@ -159,8 +186,11 @@ def generate(rng: np.random.Generator, spec: PhantomSpec,
     rib_ys = (np.array([0.32, 0.42, 0.52, 0.62]) * s - lobe_cy) * scr + lobe_cy + dyr
     rib_h = 0.012 * s * scr
     bars = sum(_soft_mask(np.abs(yy - ry) - rib_h, 1.0) for ry in rib_ys)
-    both_lobes = np.clip(lobe_masks["left"] + lobe_masks["right"], 0.0, 1.0)
-    img += 0.18 * level() * bars * both_lobes * texture(5.0, 9.0)
+    ribs = np.add(lobe_masks["left"], lobe_masks["right"], out=work)
+    np.clip(ribs, 0.0, 1.0, out=ribs)
+    ribs *= 0.18 * level() * bars
+    ribs *= texture(5.0, 9.0)
+    img += ribs
     rib2_y = rib_ys[1]
     landmarks["left_rib2"] = (landmarks["left_lobe_center"][0] + dxr, rib2_y)
     landmarks["right_rib2"] = (landmarks["right_lobe_center"][0] + dxr, rib2_y)
@@ -173,26 +203,42 @@ def generate(rng: np.random.Generator, spec: PhantomSpec,
         span = 0.13 * s * sc
         arc_y = ccy + 0.18 * ((xx - ccx) / span) ** 2 * span
         in_span = _soft_mask(np.abs(xx - ccx) - span, 1.5)
-        img += 0.22 * level() * _soft_mask(np.abs(yy - arc_y) - 0.011 * s, 1.0) * in_span
+        ridge = np.subtract(yy, arc_y, out=work)
+        np.abs(ridge, out=ridge)
+        ridge -= 0.011 * s
+        _soft_mask(ridge, 1.0)
+        ridge *= 0.22 * level()
+        ridge *= in_span
+        img += ridge
         tip_x = ccx + sign * span
         landmarks[f"{name}_clavicle_tip"] = (tip_x, ccy + 0.18 * span)
 
     # medial disc
     dx, dy, sc = jitter()
     dcx, dcy, dr = cx + dx, 0.74 * s + dy, 0.085 * s * sc
-    dist = np.sqrt((xx - dcx) ** 2 + (yy - dcy) ** 2) - dr
-    img += 0.30 * level() * _soft_mask(dist, 1.5) * texture(2.0, 5.0)
+    disc = np.add((xx - dcx) ** 2, (yy - dcy) ** 2, out=work)
+    np.sqrt(disc, out=disc)
+    disc -= dr
+    _soft_mask(disc, 1.5)
+    disc *= 0.30 * level()
+    disc *= texture(2.0, 5.0)
+    img += disc
     landmarks["disc_center"] = (dcx, dcy)
 
     # apply the instance-wide illumination field and gain
     if spec.field_amp > 0:
-        img *= 1.0 + _grating(s, spec.field_amp, ffx, ffy, fpx, fpy)
+        field = _grating(s, spec.field_amp, ffx, ffy, fpx, fpy, out=tex)
+        field += 1.0
+        img *= field
     img *= gain
 
     if spec.intensity_noise > 0:
-        img += rng.normal(0.0, spec.intensity_noise, size=img.shape)
+        # normal(0, sigma) draws are 0.0 + sigma * standard_normal, the same stream
+        noise = rng.standard_normal(out=tex)
+        noise *= spec.intensity_noise
+        img += noise
 
-    img = np.clip(img, 0.0, 1.0)
+    np.clip(img, 0.0, 1.0, out=img)
     return Phantom(image=img, landmarks=landmarks, instance_id=instance_id, seed=seed)
 
 
@@ -281,7 +327,7 @@ def load_manifest(manifest_path) -> list[Phantom]:
     float32 array."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
-    lines = manifest_path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(manifest_path, FormatError).splitlines()
     phantoms = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -293,10 +339,14 @@ def load_manifest(manifest_path) -> list[Phantom]:
         values = []
         for column, text in zip(_NUMERIC_COLUMNS, parts[2:]):
             try:
-                values.append(int(text) if column == "seed" else float(text))
+                value = int(text) if column == "seed" else float(text)
             except ValueError:
                 raise FormatError(f"{manifest_path}:{lineno}: column {column!r} "
                                   f"is not a number: {text!r}") from None
+            if not math.isfinite(value):  # a nan landmark would load and break the probes
+                raise FormatError(f"{manifest_path}:{lineno}: column {column!r} "
+                                  f"is not finite: {text!r}")
+            values.append(value)
         *coords, seed = values
         landmarks = {name: (coords[2 * i], coords[2 * i + 1])
                      for i, name in enumerate(LANDMARK_NAMES)}
@@ -317,19 +367,42 @@ def instance_rng(master_seed: int, index: int) -> tuple[np.random.Generator, int
     return np.random.default_rng(ss), index
 
 
+def _ahead(pool: ThreadPoolExecutor, render, count: int, ahead: int):
+    """Yield render(0), ..., render(count - 1) in order, with at most `ahead`
+    indices submitted past the one yielded."""
+    pending = deque()
+    for i in range(count):
+        pending.append(pool.submit(render, i))
+        if len(pending) > ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def generate_dataset(directory, count: int, spec: PhantomSpec, master_seed: int) -> Path:
     """Generate `count` phantoms, write PGMs and the manifest; returns manifest path.
 
-    Each PGM is written before the next phantom is generated, so one image is
-    alive at a time.  Keeps freed heap pages in the process for good (`heap.hold_freed_pages`):
-    each full-image pass allocates a temporary above glibc's default mmap
-    threshold.
+    Phantoms are rendered on min(2, usable CPUs) worker threads; the calling
+    thread writes each PGM in index order, with at most two phantoms
+    rendered or rendering ahead of the one it writes.  Each phantom comes
+    from its own `instance_rng(master_seed, i)`, so the files are the same,
+    byte for byte, as the serial path's.  On one CPU, or for one phantom,
+    the serial path runs with no pool: each PGM is written before the next
+    phantom is generated.  Keeps freed heap pages in one malloc arena for
+    good (`heap.hold_freed_pages`), set before any worker starts.
     """
     if count < 1:
         raise ParameterError(f"count must be at least 1, got {count}")
     if master_seed < 0:
         raise ParameterError(f"master_seed must be non-negative, got {master_seed}")
     heap.hold_freed_pages()
-    return build_manifest(directory, (
-        generate(instance_rng(master_seed, i)[0], spec, instance_id=f"phantom{i:05d}", seed=i)
-        for i in range(count)))
+
+    def render(i):
+        return generate(instance_rng(master_seed, i)[0], spec, instance_id=f"phantom{i:05d}",
+                        seed=i)
+
+    workers = min(2, len(os.sched_getaffinity(0)), count)
+    if workers == 1:
+        return build_manifest(directory, map(render, range(count)))
+    with ThreadPoolExecutor(workers, thread_name_prefix="ace-gen") as pool:
+        return build_manifest(directory, _ahead(pool, render, count, workers))

@@ -21,7 +21,7 @@ import numpy as np
 from . import blas, cropgrid, heap, model, objective
 from . import tensor as tz
 from .config import RunConfig
-from .errors import AceError, FormatError, ParameterError
+from .errors import AceError, FormatError, ParameterError, read_utf8
 from .synthgen import load_manifest
 from .tensor import Tape, Tensor
 
@@ -323,13 +323,15 @@ def _truncate_metrics(path: Path, upto_step: int):
     if not path.exists():
         return
     kept = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n")[:-1], start=1):
+    for lineno, line in enumerate(read_utf8(path, AceError).split("\n")[:-1], start=1):
         if not line.strip():
             continue
         try:
             step = json.loads(line)["step"]
         except (ValueError, KeyError, TypeError) as exc:
             raise AceError(f"{path}:{lineno}: unreadable metrics record ({exc})") from None
+        if type(step) is not int:  # a bool is an int to isinstance
+            raise AceError(f"{path}:{lineno}: metrics step is not an integer: {step!r}")
         if step <= upto_step:
             kept.append(line)
     path.write_text("".join(l + "\n" for l in kept), encoding="utf-8")

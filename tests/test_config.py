@@ -72,6 +72,14 @@ def test_config_file_with_comments(tmp_path):
         assert named in str(exc.value), str(exc.value)
 
 
+def test_config_file_that_is_not_utf8_names_file_line_and_byte(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = 3\nepochs = 4\xff\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(bad)
+    assert str(exc.value) == f"{bad}:2: not UTF-8 at byte 19 (b'\\xff')"
+
+
 def test_snapshot_roundtrip(tmp_path):
     cfg = apply_overrides(RunConfig(), ["epochs=9", "alpha_comp=1", "tau_student=0.2"])
     snap = tmp_path / "config.resolved"

@@ -14,7 +14,7 @@ import pytest
 import ace
 import ace.probes as probes
 import ace.trainer as tr
-from ace import heap
+from ace import heap, synthgen
 from ace.config import RunConfig, apply_overrides
 from ace.model import EncoderConfig, init
 from ace.synthgen import PhantomSpec, generate_dataset
@@ -38,7 +38,7 @@ def test_thresholds_are_set_once(fresh_heap):
     fresh_heap.setattr(heap.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
     assert heap.hold_freed_pages() is True
     assert heap.hold_freed_pages() is True
-    assert sorted(calls) == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert sorted(calls) == [(-8, 1), (-3, 32 << 20), (-1, 64 << 20)]
 
 
 def test_without_mallopt_nothing_is_set(fresh_heap):
@@ -70,6 +70,18 @@ def test_embed_crops_holds_freed_pages(heap_calls):
 def test_generate_dataset_holds_freed_pages(tmp_path, heap_calls):
     generate_dataset(tmp_path / "ds", 1, PhantomSpec(side=16), master_seed=0)
     assert heap_calls == [1]
+
+
+def test_generate_dataset_caps_the_arenas_before_its_pool_starts(tmp_path, monkeypatch):
+    """A worker thread that allocated before the cap would keep an arena of its own."""
+    order = []
+    pool = synthgen.ThreadPoolExecutor
+    monkeypatch.setattr(heap, "hold_freed_pages", lambda: order.append("hold") or True)
+    monkeypatch.setattr(synthgen.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(synthgen, "ThreadPoolExecutor",
+                        lambda *args, **kwargs: order.append("pool") or pool(*args, **kwargs))
+    generate_dataset(tmp_path / "ds", 3, PhantomSpec(side=16), master_seed=0)
+    assert order == ["hold", "pool"]
 
 
 def _warm_faults(tmp_path, setup: str, call: str) -> int:

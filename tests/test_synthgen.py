@@ -1,5 +1,12 @@
 """Phantom generator: symmetry, landmark fidelity, image I/O, manifest."""
 
+import os
+import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -225,7 +232,10 @@ def test_manifest_without_records_names_the_file(tmp_path):
         assert str(exc.value) == f"{manifest}: no phantom records"
 
 
-@pytest.mark.parametrize("column, value", [("left_rib2_y", "abc"), ("seed", "1.5")])
+@pytest.mark.parametrize("column, value", [("left_rib2_y", "abc"), ("seed", "1.5"),
+                                           # a nan landmark would load and break the probes
+                                           ("left_lobe_center_x", "nan"),
+                                           ("disc_center_y", "-inf"), ("right_rib2_x", "1e999")])
 def test_manifest_bad_number_names_line_and_column(tmp_path, column, value):
     phantoms = [generate(np.random.default_rng(i), PhantomSpec(side=32), instance_id=f"p{i}",
                          seed=i) for i in range(2)]
@@ -237,6 +247,17 @@ def test_manifest_bad_number_names_line_and_column(tmp_path, column, value):
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=rf"manifest\.tsv:3: column '{column}' .*'{value}'"):
         load_manifest(manifest)
+
+
+def test_manifest_that_is_not_utf8_names_file_line_and_byte(tmp_path):
+    manifest = build_manifest(tmp_path, [generate(np.random.default_rng(0),
+                                                  PhantomSpec(side=32), instance_id="p0")])
+    raw = manifest.read_bytes()
+    at = raw.index(b"p0.pgm")
+    manifest.write_bytes(raw[:at] + b"\xc3(" + raw[at + 2:])
+    with pytest.raises(FormatError) as exc:
+        load_manifest(manifest)
+    assert str(exc.value) == f"{manifest}:2: not UTF-8 at byte {at} (b'\\xc3')"
 
 
 def test_manifest_wrong_column_count_names_file_and_line(tmp_path):
@@ -251,9 +272,21 @@ def test_manifest_wrong_column_count_names_file_and_line(tmp_path):
     assert str(exc.value) == f"{manifest}:3: wrong column count {2 + 2 * len(LANDMARK_NAMES)}"
 
 
-def test_generate_dataset_writes_each_image_before_the_next_phantom(tmp_path, monkeypatch):
-    """One image is alive at a time: every generate call is followed by the
-    write of its image, not by the next generate."""
+@pytest.fixture
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(sg.os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The pool runs whatever the host's CPU count: threads share one CPU too."""
+    monkeypatch.setattr(sg.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_generate_dataset_writes_each_image_before_the_next_phantom(tmp_path, monkeypatch,
+                                                                    one_cpu):
+    """One image is alive at a time on the serial path: every generate call is
+    followed by the write of its image, not by the next generate."""
     calls = []
     generate_ = sg.generate
     write_image_ = sg.write_image
@@ -270,6 +303,108 @@ def test_generate_dataset_writes_each_image_before_the_next_phantom(tmp_path, mo
     monkeypatch.setattr(sg, "write_image", spy_write_image)
     generate_dataset(tmp_path / "ds", 3, PhantomSpec(side=32), master_seed=0)
     assert calls == ["generate", "write_image"] * 3
+
+
+def _dataset_bytes(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+def test_pool_output_equals_serial_output(tmp_path, monkeypatch, two_cpus):
+    """Manifest and every PGM byte for byte; the pool's phantoms are rendered
+    off the calling thread."""
+    spec = PhantomSpec(side=64, jitter_translate=0.08, jitter_scale=0.25)
+    threads = set()
+    generate_ = sg.generate
+
+    def spy_generate(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return generate_(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(sg, "generate", spy_generate)
+        generate_dataset(tmp_path / "pool", 9, spec, master_seed=3)
+    assert threading.main_thread() not in threads and len(threads) <= 2
+    with monkeypatch.context() as m:
+        m.setattr(sg.os, "sched_getaffinity", lambda pid: {0})
+        generate_dataset(tmp_path / "serial", 9, spec, master_seed=3)
+    pool, serial = _dataset_bytes(tmp_path / "pool"), _dataset_bytes(tmp_path / "serial")
+    assert len(pool) == 10 and list(pool) == list(serial)
+    for name in pool:
+        assert pool[name] == serial[name], name
+
+
+@pytest.mark.parametrize("cpus, count", [({0}, 3), ({0, 1}, 1)])
+def test_pool_is_not_made_on_one_cpu_or_for_one_phantom(tmp_path, monkeypatch, cpus, count):
+    monkeypatch.setattr(sg.os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(sg, "ThreadPoolExecutor",
+                        lambda *args, **kwargs: pytest.fail("a pool was made"))
+    manifest = generate_dataset(tmp_path / "ds", count, PhantomSpec(side=32), master_seed=0)
+    assert len(load_manifest(manifest)) == count
+
+
+def test_pool_keeps_at_most_two_phantoms_ahead_of_the_writer(tmp_path, monkeypatch, two_cpus):
+    """When the k-th write starts (k from 1), at most k + 2 generate calls have
+    started: the phantom written and at most two ahead of it.  The writes
+    come in index order."""
+    lock = threading.Lock()
+    started, writes = [], []
+    generate_ = sg.generate
+    write_image_ = sg.write_image
+
+    def spy_generate(*args, **kwargs):
+        with lock:
+            started.append(kwargs["seed"])
+        return generate_(*args, **kwargs)
+
+    def spy_write_image(path, image):
+        with lock:
+            writes.append((Path(path).name, len(started)))
+        return write_image_(path, image)
+
+    monkeypatch.setattr(sg, "generate", spy_generate)
+    monkeypatch.setattr(sg, "write_image", spy_write_image)
+    generate_dataset(tmp_path / "ds", 12, PhantomSpec(side=32), master_seed=0)
+    assert [name for name, _ in writes] == [f"phantom{i:05d}.pgm" for i in range(12)]
+    for k, (name, n_started) in enumerate(writes, start=1):
+        assert n_started <= k + 2, (name, n_started)
+    assert sorted(started) == list(range(12))
+
+
+def test_a_failing_pool_worker_surfaces_its_exception_and_leaves_no_thread(
+        tmp_path, monkeypatch, two_cpus):
+    before = threading.active_count()
+    raised = RuntimeError("phantom 3 failed")
+    generate_ = sg.generate
+
+    def failing_generate(*args, **kwargs):
+        if kwargs["seed"] == 3:
+            raise raised
+        return generate_(*args, **kwargs)
+
+    monkeypatch.setattr(sg, "generate", failing_generate)
+    with pytest.raises(RuntimeError) as exc:
+        generate_dataset(tmp_path / "ds", 8, PhantomSpec(side=32), master_seed=0)
+    assert exc.value is raised
+    assert threading.active_count() == before
+    assert not (tmp_path / "ds" / sg.MANIFEST_NAME).exists()
+
+
+@pytest.mark.parametrize("openblas_threads", [None, "1"])
+def test_pool_tests_pass_with_openblas_threads_unset_and_one(openblas_threads):
+    """OpenBLAS reads OPENBLAS_NUM_THREADS when it loads, so the threaded-path
+    tests above run again in a fresh interpreter under each setting."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    src = str(Path(sg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "(pool or writes_each_image) and not openblas"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # the four pool tests (one of them twice) and the serial-path order test
+    assert re.search(r"\b6 passed\b", proc.stdout), proc.stdout
 
 
 def test_regenerating_into_a_used_directory_writes_new_images(tmp_path):

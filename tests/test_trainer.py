@@ -278,6 +278,24 @@ def test_resume_reproduces_uninterrupted_stream(tmp_path):
     assert resumed == full
 
 
+@pytest.mark.parametrize("step", ['"3"', "null", "[1]", "true", "2.0"])
+def test_truncating_metrics_refuses_a_step_that_is_not_an_integer(tmp_path, step):
+    metrics = tmp_path / "metrics.jsonl"
+    metrics.write_text(f'{{"step": 1}}\n{{"step": {step}}}\n', encoding="utf-8")
+    with pytest.raises(AceError) as exc:
+        tr._truncate_metrics(metrics, 5)
+    assert str(exc.value) == (f"{metrics}:2: metrics step is not an integer: "
+                              f"{json.loads(step)!r}")
+
+
+def test_truncating_metrics_that_are_not_utf8_names_file_line_and_byte(tmp_path):
+    metrics = tmp_path / "metrics.jsonl"
+    metrics.write_bytes(b'{"step": 1}\n{"step": 2, "x": "\x80"}\n')
+    with pytest.raises(AceError) as exc:
+        tr._truncate_metrics(metrics, 5)
+    assert str(exc.value) == f"{metrics}:2: not UTF-8 at byte 30 (b'\\x80')"
+
+
 def test_resume_drops_a_torn_last_metrics_line(tmp_path):
     """An interrupted write can leave part of a record after the checkpoint;
     resume drops it, and an unreadable complete line is refused by name."""
